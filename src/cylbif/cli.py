@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .bifurcation import domain_profile, run_bifurcation
-from .dispersion import default_workers, scan
+from .dispersion import scan
 from .errors import NumericalError
 from .geometry import SpaceForm
 from .spectral import ground_state
@@ -74,9 +74,15 @@ def cmd_eigen(args) -> int:
 def cmd_scan(args) -> int:
     sf = _require_case(args)
     gs = ground_state(sf)
-    curve = scan(gs, sf, args.tlo, args.thi, args.points, j=args.j, workers=args.workers)
+    curve = scan(gs, sf, args.tlo, args.thi, args.points, j=args.j)
     _emit(curve.csv_text(), args.csv_out)
-    bad = [row for row in curve.rows() if not row["agree_flag"]]
+    rows = curve.rows()
+    bad = [row for row in rows if not row["agree_flag"]]
+    if bad:
+        row = bad[0]
+        reason = row["error"] or f"routes differ by {abs(row['sigma_ode'] - row['sigma_cf']):.3g}"
+        print(f"{len(bad)}/{len(rows)} rows disagree; first at T={row['T']!r}: {reason}",
+              file=sys.stderr)
     return 1 if bad else 0
 
 
@@ -184,8 +190,6 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p_scan.add_argument("--thi", type=float, default=50.0, help="upper period bound (cap 200)")
     p_scan.add_argument("--points", type=int, default=200, help="number of log-spaced samples (>= 2)")
     p_scan.add_argument("--j", type=int, default=1, help="Fourier mode index (>= 1)")
-    p_scan.add_argument("--workers", type=int, default=default_workers(),
-                        help="worker processes for the scan")
     p_scan.add_argument("--csv-out", help="write the CSV here instead of stdout")
     p_scan.set_defaults(func=cmd_scan)
 
@@ -229,12 +233,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
 
     # config file supplies defaults; explicit flags win
+    pre = argparse.ArgumentParser(prog="cylbif", add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
     converted = None
-    if "--config" in argv:
-        idx = argv.index("--config")
+    if config_path is not None:
         try:
-            cfg = _load_config(argv[idx + 1])
-        except (OSError, IndexError, ValueError) as exc:
+            cfg = _load_config(config_path)
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         converted = {}

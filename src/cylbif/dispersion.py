@@ -25,14 +25,12 @@ correctness property.
 """
 
 import math
-import os
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneracyError
+from .errors import ConvergenceError, DegeneracyError
 from .geometry import SpaceForm, c_k, radial_drift, s_k
 from .spectral import GroundState
 from .specfun import Degree, ferrers_p, legendre_p
@@ -73,7 +71,11 @@ def sigma_reduced(
     preferred for root finding because it does not depend on s.
     """
     lam = shifted_lambda(gs, t_period, j)
-    w1, dw1 = shoot(sf, lam, rtol=rtol, atol=atol)
+    return _reduced(sf, *shoot(sf, lam, rtol=rtol, atol=atol), t_period, j)
+
+
+def _reduced(sf: SpaceForm, w1: float, dw1: float, t_period: float, j: int) -> float:
+    """The reduced form from the boundary values (w(1), w'(1)) of one solve."""
     if abs(w1) < 1e-12 * abs(dw1):
         raise DegeneracyError(
             f"w(1) ~ 0 at T={t_period}, j={j}: shifted parameter hit a Dirichlet "
@@ -294,34 +296,25 @@ class DispersionCurve:
             fh.write(self.csv_text())
 
 
-def _scan_point(args) -> list[DispersionSample]:
-    gs, sf, t_period, j = args
-    nu_star = complex(Degree.from_spectral(sf, shifted_lambda(gs, t_period, j)))
-    out = []
+def _scan_point(gs, sf, t_period, j, lam, boundary) -> tuple[DispersionSample, ...]:
+    """Both routes at one T, each failure recorded in its own sample.
+
+    boundary is (w(1), w'(1)) from the batched solve, or None to solve this
+    member on its own.
+    """
+    nu_star = complex(Degree.from_spectral(sf, lam))
+    ode = DispersionSample(t_period, j, math.nan, ROUTE_ODE, nu_star)
+    closed = DispersionSample(t_period, j, math.nan, ROUTE_CLOSED, nu_star)
     try:
-        red = sigma_reduced(gs, sf, t_period, j)
-        out.append(
-            DispersionSample(
-                t_period, j, -gs.dphi1 * red, ROUTE_ODE, nu_star, sigma_reduced=red
-            )
-        )
+        ode.sigma_reduced = _reduced(sf, *(boundary or shoot(sf, lam)), t_period, j)
+        ode.sigma = -gs.dphi1 * ode.sigma_reduced
     except Exception as exc:  # recorded in-line, scan continues
-        out.append(
-            DispersionSample(t_period, j, math.nan, ROUTE_ODE, nu_star, error=str(exc))
-        )
+        ode.error = str(exc)
     try:
-        out.append(
-            DispersionSample(
-                t_period, j, sigma_closed(gs, sf, t_period, j), ROUTE_CLOSED, nu_star
-            )
-        )
+        closed.sigma = sigma_closed(gs, sf, t_period, j)
     except Exception as exc:
-        out.append(
-            DispersionSample(
-                t_period, j, math.nan, ROUTE_CLOSED, nu_star, error=str(exc)
-            )
-        )
-    return out
+        closed.error = str(exc)
+    return ode, closed
 
 
 def scan(
@@ -331,15 +324,15 @@ def scan(
     t_hi: float,
     points: int,
     j: int = 1,
-    workers: int = 1,
     t_hi_cap: float = T_HI_CAP,
 ) -> DispersionCurve:
     """Log-spaced dual-route scan of sigma_j on [t_lo, t_hi].
 
     The upper end is capped (default 200): arbitrarily large periods only
-    probe the degenerate T -> infinity regime.  Samples are evaluated
-    independently (optionally across processes) and collected in
-    deterministic T order.
+    probe the degenerate T -> infinity regime.  The ODE route of the whole
+    grid is one batched radial solve; if that solve fails (a member whose
+    solution overflows fails the batch), each member is solved on its own so
+    a failure stays with its sample.  Samples come in increasing T order.
     """
     if not 0.0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
@@ -351,18 +344,14 @@ def scan(
         raise ValueError(f"mode index must satisfy j >= 1, got j={j}")
     grid = np.geomspace(t_lo, t_hi, points)
     grid[0], grid[-1] = t_lo, t_hi  # exact endpoints
-    tasks = [(gs, sf, float(t), j) for t in grid]
-    if workers > 1:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(_scan_point, tasks, chunksize=chunk))
-    else:
-        pieces = [_scan_point(t) for t in tasks]
+    periods = grid.tolist()
+    lams = [shifted_lambda(gs, t, j) for t in periods]
+    try:
+        w1, dw1 = shoot(sf, np.array(lams))
+        boundary = list(zip(w1.tolist(), dw1.tolist()))
+    except ConvergenceError:
+        boundary = [None] * points
     curve = DispersionCurve(n=sf.n, k=sf.k, j=j)
-    for piece in pieces:
-        curve.samples.extend(piece)
+    for t_period, lam, wb in zip(periods, lams, boundary):
+        curve.samples.extend(_scan_point(gs, sf, t_period, j, lam, wb))
     return curve
-
-
-def default_workers() -> int:
-    return os.cpu_count() or 1

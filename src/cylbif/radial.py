@@ -4,7 +4,8 @@ The origin is a regular singular point; the bounded solution (normalized to
 u(0) = 1) is launched a small distance delta away by its even Taylor
 expansion and continued to r = 1 with an adaptive high-order Runge-Kutta
 integrator.  The same engine serves the ground-state profile (lam = lambda1)
-and the mode equations (lam = lambda1 - (2 pi j / T)^2).
+and the mode equations (lam = lambda1 - (2 pi j / T)^2); a whole array of
+mode parameters is integrated as one stacked linear system.
 """
 
 import math
@@ -45,40 +46,62 @@ def frobenius_start(sf: SpaceForm, lam: float, delta: float) -> tuple[float, flo
     return u, du
 
 
-def _rhs(sf: SpaceForm, lam: float):
+def _rhs(sf: SpaceForm, lam):
+    """Right-hand side for a scalar lam, as a tuple (an array per call costs more
+    than the arithmetic of two components), or for an ndarray of m values on
+    the state [u_0 .. u_(m-1), u'_0 .. u'_(m-1)]."""
     n, k = sf.n, sf.k
     root = math.sqrt(abs(k))
-    if k < 0:
+    cos, sin = (math.cosh, math.sinh) if k < 0 else (math.cos, math.sin)
+    if np.ndim(lam) == 0:
 
         def f(r, y):
-            drift = (n - 1) * root * math.cosh(root * r) / math.sinh(root * r)
+            drift = (n - 1) * root * cos(root * r) / sin(root * r)
             return (y[1], -drift * y[1] - lam * y[0])
 
     else:
+        m = len(lam)
 
         def f(r, y):
-            drift = (n - 1) * root * math.cos(root * r) / math.sin(root * r)
-            return (y[1], -drift * y[1] - lam * y[0])
+            drift = (n - 1) * root * cos(root * r) / sin(root * r)
+            return np.concatenate((y[m:], -drift * y[m:] - lam * y[:m]))
 
     return f
 
 
-def shoot(
-    sf: SpaceForm,
-    lam: float,
-    delta: float = DEFAULT_DELTA,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> tuple[float, float]:
-    """(u(1), u'(1)) of the regular solution, without storing the profile."""
+def _integrate(
+    sf: SpaceForm, lam, r_end: float, delta: float, rtol: float, atol: float, **options
+):
+    """One DOP853 solve of the regular solution(s) from the series start to r_end.
+    An ndarray lam shares one step sequence: the error norm is an RMS over the
+    whole state, so the stiffest member sets the steps."""
     u0, du0 = frobenius_start(sf, lam, delta)
-    f = _rhs(sf, lam)
-    sol = solve_ivp(f, (delta, 1.0), (u0, du0), method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(
+        _rhs(sf, lam), (delta, r_end), np.hstack((u0, du0)), method="DOP853",
+        rtol=rtol, atol=atol, **options,
+    )
     if not sol.success:
         raise ConvergenceError(
             f"radial integration failed near r={sol.t[-1]:.6g}: {sol.message}"
         )
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
+    return sol
+
+
+def shoot(
+    sf: SpaceForm,
+    lam: float | np.ndarray,
+    delta: float = DEFAULT_DELTA,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """(u(1), u'(1)) of the regular solution, without storing the profile.
+
+    For an ndarray lam, one batched solve returns a pair of arrays.
+    """
+    u1, du1 = np.split(_integrate(sf, lam, 1.0, delta, rtol, atol).y[:, -1], 2)
+    if np.ndim(lam):
+        return u1, du1
+    return float(u1[0]), float(du1[0])
 
 
 @dataclass(eq=False)
@@ -134,16 +157,8 @@ def solve_regular(
     the stored samples carry the integration accuracy; the cubic Hermite
     interpolant between them is then accurate to O((1/points)^4).
     """
-    u0, du0 = frobenius_start(sf, lam, delta)
+    sol = _integrate(sf, lam, 1.0, delta, rtol, atol, dense_output=True)
     f = _rhs(sf, lam)
-    sol = solve_ivp(
-        f, (delta, 1.0), (u0, du0), method="DOP853", rtol=rtol, atol=atol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise ConvergenceError(
-            f"radial integration failed near r={sol.t[-1]:.6g}: {sol.message}"
-        )
     r_grid = np.linspace(0.0, 1.0, points)
     t = np.unique(np.concatenate([[delta], r_grid[r_grid > delta], [1.0]]))
     u, du = sol.sol(t)
@@ -210,26 +225,12 @@ def first_zero(
         raise ValueError(
             f"r_max must stay below pi/sqrt(k) = {sf.r_max:.12g}, got r_max={r_max}"
         )
-    u0, du0 = frobenius_start(sf, lam, delta)
-    f = _rhs(sf, lam)
 
     def crossing(r, y):
         return y[0]
 
     crossing.terminal = True
     crossing.direction = 0
-    sol = solve_ivp(
-        f,
-        (delta, r_max),
-        (u0, du0),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        events=crossing,
-    )
-    if not sol.success:
-        raise ConvergenceError(
-            f"radial integration failed near r={sol.t[-1]:.6g}: {sol.message}"
-        )
+    sol = _integrate(sf, lam, r_max, delta, rtol, atol, events=crossing)
     events = sol.t_events[0]
     return float(events[0]) if len(events) else None

@@ -37,7 +37,7 @@ class TestScan:
     def test_rows_and_agreement(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--n", "2", "--k", "1", "--tlo", "0.5", "--thi", "50",
-            "--points", "20", "--workers", "1",
+            "--points", "20",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -47,6 +47,17 @@ class TestScan:
         last = lines[-1].split(",")
         assert float(first[4]) > 0.0 > float(last[4])  # endpoint signs
         assert all(line.rsplit(",", 1)[1] == "true" for line in lines[1:])
+
+    def test_failure_reason_on_stderr(self, capsys):
+        # k = -4 puts C_k(1) outside the closed form's series disk
+        argv = ("scan", "--n", "2", "--k", "-4", "--points", "3")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("3/3 rows disagree; first at T=0.5: ")
+        assert "series disk" in err
+        rows = out.strip().splitlines()[1:]
+        assert all(row.split(",")[5] == "nan" for row in rows)
 
     def test_single_point_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -138,6 +149,21 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "--config", str(cfg), "eigen", "--k", "-1")
         assert code == 0
         assert json.loads(out)["lambda1"] == pytest.approx(math.pi**2 + 1, rel=1e-9)
+
+    def test_equals_form(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\nk = 1\n")
+        code, out, _ = run_cli(capsys, f"--config={cfg}", "eigen")
+        assert code == 0
+        assert json.loads(out)["lambda1"] == pytest.approx(math.pi**2 - 1, rel=1e-9)
+
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_missing_config_is_usage_error(self, capsys, tmp_path, form):
+        path = str(tmp_path / "absent.cfg")
+        argv = ["--config", path] if form == "separate" else [f"--config={path}"]
+        code, _, err = run_cli(capsys, *argv, "eigen", "--n", "2", "--k", "1")
+        assert code == 2
+        assert "absent.cfg" in err
 
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
