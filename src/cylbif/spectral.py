@@ -22,6 +22,7 @@ from .radial import RadialSolution, shoot, solve_regular
 SCAN_START = 0.05
 SCAN_STEP = 0.25
 SCAN_CAP = 500.0
+_SCAN_BLOCK = 400  # grid points per batched solve of the coarse scan (Lam < 100 first)
 ROOT_TOL = 1e-12
 
 
@@ -31,19 +32,22 @@ def find_lambda1(sf: SpaceForm, cap: float = SCAN_CAP) -> float:
     Coarse scan from SCAN_START in steps of SCAN_STEP locates the first sign
     change of u(1; Lam); bisection plus secant polish drives |u(1)| below
     ROOT_TOL.  u(1; Lam) decreases through the crossing (simple eigenvalue).
+    The scan grid is shot _SCAN_BLOCK points at a time by one batched solve,
+    so its cost hardly depends on where lambda1 lies.
     """
-    lam_lo = SCAN_START
-    f_lo = shoot(sf, lam_lo)[0]
-    if f_lo <= 0.0:
-        raise ConvergenceError(f"u(1) not positive at scan start Lam={lam_lo}")
-    lam_hi = lam_lo
-    f_hi = f_lo
-    while lam_hi < cap:
-        lam_hi += SCAN_STEP
-        f_hi = shoot(sf, lam_hi)[0]
-        if f_lo * f_hi < 0.0:
+    grid = [SCAN_START]
+    while grid[-1] < cap:
+        grid.append(grid[-1] + SCAN_STEP)
+    for start in range(0, len(grid) - 1, _SCAN_BLOCK):
+        lams = grid[start : start + _SCAN_BLOCK + 1]  # blocks overlap by one point
+        u1 = shoot(sf, np.array(lams))[0].tolist()
+        if start == 0 and u1[0] <= 0.0:
+            raise ConvergenceError(f"u(1) not positive at scan start Lam={SCAN_START}")
+        cross = [i for i in range(len(lams) - 1) if u1[i] * u1[i + 1] < 0.0]
+        if cross:
+            i = cross[0]
+            lam_lo, f_lo, lam_hi, f_hi = lams[i], u1[i], lams[i + 1], u1[i + 1]
             break
-        lam_lo, f_lo = lam_hi, f_hi
     else:
         raise ConvergenceError(
             f"no sign change of u(1; Lam) found for Lam <= {cap} (n={sf.n}, k={sf.k})"

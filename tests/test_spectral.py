@@ -6,7 +6,14 @@ import pytest
 from cylbif.geometry import SpaceForm, radial_drift, s_k, sphere_volume
 from cylbif.oracle import fd_lambda1
 from cylbif.radial import shoot
-from cylbif.spectral import _profile_integral, find_lambda1, ground_state
+from cylbif.spectral import (
+    SCAN_START,
+    SCAN_STEP,
+    _SCAN_BLOCK,
+    _profile_integral,
+    find_lambda1,
+    ground_state,
+)
 
 J01_SQUARED = 5.7831859629467845  # first Bessel J0 zero squared: flat-disk eigenvalue
 
@@ -37,6 +44,17 @@ class TestFindLambda1:
         sf = SpaceForm(2, 1.0)
         lam = find_lambda1(sf)
         assert shoot(sf, lam - 0.01)[0] > 0.0 > shoot(sf, lam + 0.01)[0]
+
+    def test_crossing_beyond_first_scan_block(self):
+        # lambda1 of the 16-ball lies past the first batched block of the
+        # coarse scan; the root must still be the first crossing
+        sf = SpaceForm(16, -1.0)
+        lam = find_lambda1(sf)
+        assert lam > SCAN_START + _SCAN_BLOCK * SCAN_STEP
+        assert np.all(shoot(sf, np.linspace(SCAN_START, lam - 0.01, 64))[0] > 0.0)
+        assert shoot(sf, lam + 0.01)[0] < 0.0
+        fd = fd_lambda1(sf, 256)
+        assert abs(fd.value - lam) <= 3.0 * fd.error
 
     def test_eigenvalue_decreases_with_curvature(self):
         assert find_lambda1(SpaceForm(2, 1.0)) < find_lambda1(SpaceForm(2, -1.0))
