@@ -92,7 +92,7 @@ def _golden_min_abs(producer, a, b, rel=1e-9) -> tuple[float, float]:
 
 
 def find_sigma_zeros(
-    producer: Callable[[float], float],
+    producer: Callable[[float | np.ndarray], float | np.ndarray],
     t_lo: float,
     t_hi: float,
     initial_points: int = INITIAL_POINTS,
@@ -106,6 +106,13 @@ def find_sigma_zeros(
     brackets on a log grid are refined by trisection and bisection to width
     ZERO_WIDTH_REL * T0.  Local minima of |sigma| that refine to essentially
     zero without a sign flip are reported as suspected tangential.
+
+    producer is called once with the whole grid as an ndarray and must return
+    the values elementwise; every other call (widening, trisection,
+    bisection, tangential search) passes a float.  Grid values only pick
+    bracket signs and candidate minima (with their tolerance scale), so the
+    zeros equal those found with one scalar call per grid point as long as
+    the signs agree.
     """
     if not 0.0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
@@ -132,7 +139,7 @@ def find_sigma_zeros(
         raise NumericalError("window endpoints do not bracket a sign change")
 
     grid = np.geomspace(lo, hi, initial_points)
-    vals = np.array([producer(float(t)) for t in grid])
+    vals = np.asarray(producer(grid), dtype=float)
 
     zeros: list[SigmaZero] = []
     bracket_cells = set()
@@ -183,7 +190,7 @@ def select_t_star(zeros: list[SigmaZero]) -> float:
 
 
 def kernel_modes(
-    producer: Callable[[float], float],
+    producer: Callable[[float | np.ndarray], float | np.ndarray],
     t_star: float,
     j_max: int = J_MAX_DEFAULT,
     tol: float = KERNEL_TOL,
@@ -194,10 +201,15 @@ def kernel_modes(
 
     j = 1 is a member by construction.  Any extra candidate is re-evaluated
     with the tightened producer (when given) before being admitted.
+
+    producer is called once with the ndarray t_star / [2, ..., j_max] and
+    must return the values elementwise; tight_producer gets a float per
+    candidate.
     """
     modes = [1]
-    for j in range(2, j_max + 1):
-        if abs(producer(t_star / j)) < tol * scale:
+    probes = np.asarray(producer(t_star / np.arange(2, j_max + 1)), dtype=float)
+    for j, value in enumerate(probes.tolist(), start=2):
+        if abs(value) < tol * scale:
             if tight_producer is not None:
                 if abs(tight_producer(t_star / j)) >= 10.0 * tol * scale:
                     continue
@@ -311,8 +323,10 @@ def run_bifurcation(
     Roots are located on sigma_reduced, whose zeros coincide with sigma's;
     the kernel tolerance is scaled by the natural size of the reduced curve.
     """
+    if j_max < 1:
+        raise ValueError(f"largest kernel mode must satisfy j_max >= 1, got j_max={j_max}")
 
-    def producer(t_period: float) -> float:
+    def producer(t_period: float | np.ndarray) -> float | np.ndarray:
         return sigma_reduced(gs, sf, t_period, 1)
 
     def tight_producer(t_period: float) -> float:

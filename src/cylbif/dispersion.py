@@ -60,18 +60,40 @@ def shifted_lambda(gs: GroundState, t_period: float, j: int) -> float:
 def sigma_reduced(
     gs: GroundState,
     sf: SpaceForm,
-    t_period: float,
+    t_period: float | np.ndarray,
     j: int = 1,
     rtol: float = 1e-12,
     atol: float = 1e-14,
-) -> float:
+) -> float | np.ndarray:
     """Normalization-free form w'(1)/w(1) + (n-1) C_k(1)/S_k(1).
 
     Shares its zeros with sigma (sigma = -phi'(1) * reduced, -phi'(1) > 0);
-    preferred for root finding because it does not depend on s.
+    preferred for root finding because it does not depend on s.  An ndarray
+    of periods is one batched radial solve; if that solve fails, each member
+    is solved on its own, so the first failing member raises its own error.
     """
-    lam = shifted_lambda(gs, t_period, j)
-    return _reduced(sf, *shoot(sf, lam, rtol=rtol, atol=atol), t_period, j)
+    if np.ndim(t_period) == 0:
+        lam = shifted_lambda(gs, t_period, j)
+        return _reduced(sf, *shoot(sf, lam, rtol=rtol, atol=atol), t_period, j)
+    periods = np.asarray(t_period, dtype=float).tolist()
+    lams = [shifted_lambda(gs, t, j) for t in periods]
+    boundary = _shoot_batch(sf, lams, rtol=rtol, atol=atol)
+    return np.array(
+        [
+            _reduced(sf, *(wb or shoot(sf, lam, rtol=rtol, atol=atol)), t, j)
+            for t, lam, wb in zip(periods, lams, boundary)
+        ]
+    )
+
+
+def _shoot_batch(sf: SpaceForm, lams: list[float], **tol) -> list:
+    """(w(1), w'(1)) per member from one batched solve, or None per member when
+    the batch fails (a member whose solution overflows fails it whole)."""
+    try:
+        w1, dw1 = shoot(sf, np.array(lams), **tol)
+    except ConvergenceError:
+        return [None] * len(lams)
+    return list(zip(w1.tolist(), dw1.tolist()))
 
 
 def _reduced(sf: SpaceForm, w1: float, dw1: float, t_period: float, j: int) -> float:
@@ -84,8 +106,10 @@ def _reduced(sf: SpaceForm, w1: float, dw1: float, t_period: float, j: int) -> f
     return dw1 / w1 + radial_drift(sf, 1.0)
 
 
-def sigma_ode(gs: GroundState, sf: SpaceForm, t_period: float, j: int = 1) -> float:
-    """sigma_j(T) through the shifted radial ODE solve."""
+def sigma_ode(
+    gs: GroundState, sf: SpaceForm, t_period: float | np.ndarray, j: int = 1
+) -> float | np.ndarray:
+    """sigma_j(T) through the shifted radial ODE solve (batched like sigma_reduced)."""
     return -gs.dphi1 * sigma_reduced(gs, sf, t_period, j)
 
 
@@ -346,12 +370,7 @@ def scan(
     grid[0], grid[-1] = t_lo, t_hi  # exact endpoints
     periods = grid.tolist()
     lams = [shifted_lambda(gs, t, j) for t in periods]
-    try:
-        w1, dw1 = shoot(sf, np.array(lams))
-        boundary = list(zip(w1.tolist(), dw1.tolist()))
-    except ConvergenceError:
-        boundary = [None] * points
     curve = DispersionCurve(n=sf.n, k=sf.k, j=j)
-    for t_period, lam, wb in zip(periods, lams, boundary):
+    for t_period, lam, wb in zip(periods, lams, _shoot_batch(sf, lams)):
         curve.samples.extend(_scan_point(gs, sf, t_period, j, lam, wb))
     return curve

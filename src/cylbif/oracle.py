@@ -6,7 +6,7 @@ in conservative (flux) form on a uniform grid, with the origin cell closed
 by a zero flux (S_k^(n-1) vanishes there) and Dirichlet data at r = 1.
 
 * fd_lambda1    -- smallest eigenvalue of the symmetric tridiagonal form by
-                   inverse iteration, Richardson-extrapolated over m and 2m.
+                   LAPACK bisection, Richardson-extrapolated over m and 2m.
 * fd_sigma      -- boundary-value solve of the shifted equation with a
                    fourth-order one-sided boundary derivative.
 * fd_dtn_matrix -- the discrete map v -> H_T(v) on even zero-mean boundary
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceError, DegeneracyError
+from .errors import DegeneracyError
 from .geometry import SpaceForm, s_k
 from .spectral import GroundState
 
@@ -81,37 +81,12 @@ def radial_operator_tridiagonal(sf: SpaceForm, m: int) -> tuple[np.ndarray, np.n
     return diag, off
 
 
-def _inverse_iteration_smallest(
-    diag: np.ndarray, off: np.ndarray, shift: float = 0.0, tol: float = 1e-14
-) -> float:
-    """Smallest eigenvalue of an SPD tridiagonal matrix by inverse iteration."""
-    m = len(diag)
-    band = np.zeros((2, m))
-    band[0, 1:] = off
-    band[1, :] = diag - shift
-    try:
-        chol = cholesky_banded(band)
-    except Exception as exc:
-        raise ConvergenceError(f"Cholesky factorization failed: {exc}") from exc
-    v = np.ones(m) / math.sqrt(m)
-    lam_prev = math.inf
-    for _ in range(500):
-        v = cho_solve_banded((chol, False), v)
-        v /= np.linalg.norm(v)
-        av = diag * v
-        av[:-1] += off * v[1:]
-        av[1:] += off * v[:-1]
-        lam = float(v @ av)
-        if abs(lam - lam_prev) <= tol * abs(lam):
-            return lam
-        lam_prev = lam
-    raise ConvergenceError("inverse iteration did not converge within 500 steps")
-
-
 def fd_lambda1_single(sf: SpaceForm, m: int) -> float:
     """Smallest discrete eigenvalue at a single resolution m."""
     diag, off = radial_operator_tridiagonal(sf, m)
-    return _inverse_iteration_smallest(diag, off)
+    return float(
+        eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0]
+    )
 
 
 @dataclass(frozen=True)

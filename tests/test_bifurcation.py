@@ -14,8 +14,10 @@ from cylbif.bifurcation import (
     run_bifurcation,
     select_t_star,
 )
-from cylbif.errors import NumericalError
+from cylbif.dispersion import sigma_reduced
+from cylbif.errors import ConvergenceError, NumericalError
 from cylbif.geometry import SpaceForm
+from cylbif.spectral import ground_state
 
 
 class TestFindSigmaZerosSynthetic:
@@ -161,6 +163,58 @@ class TestRealPipeline:
         gs = ground_states[(2, 1.0)]
         rep2 = run_bifurcation(gs, SpaceForm(2, 1.0))
         assert rep2.t_star == bifurcation_reports[(2, 1.0)].t_star
+
+    def test_batched_grid_finds_the_per_point_zeros(self, ground_states, bifurcation_reports):
+        # the grid values only pick signs, so one scalar solve per grid
+        # point must give the very same zeros
+        gs = ground_states[(2, 1.0)]
+        sf = SpaceForm(2, 1.0)
+
+        def per_point(t):
+            if np.ndim(t):
+                return np.array([sigma_reduced(gs, sf, x) for x in t.tolist()])
+            return sigma_reduced(gs, sf, t)
+
+        zeros = find_sigma_zeros(per_point, 0.5, 50.0)
+        assert zeros == bifurcation_reports[(2, 1.0)].zeros
+
+    def test_radial_solve_count(self, ground_states, monkeypatch):
+        # one batched solve for the grid, one for the kernel probes, the rest
+        # scalar refinement
+        import cylbif.radial as radial
+
+        calls = []
+        real_solve_ivp = radial.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real_solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "solve_ivp", counting)
+        run_bifurcation(ground_states[(2, 1.0)], SpaceForm(2, 1.0))
+        assert len(calls) <= 45
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_kernel_probes_raise_the_per_probe_error():
+    # at (3, 8.4) the kernel probes T_star/j overflow from j = 58 on, which
+    # fails the batched solve as a whole; the batch must raise the error of
+    # its first failing member, as one solve per probe does
+    sf = SpaceForm(3, 8.4)
+    gs = ground_state(sf)
+
+    def producer(t):
+        return sigma_reduced(gs, sf, t)
+
+    t_star = select_t_star(find_sigma_zeros(producer, 0.5, 50.0))
+    probes = t_star / np.arange(57, 65)  # the deepest probes of j_max = 64
+    with pytest.raises(ConvergenceError) as per_probe:
+        for t_period in probes.tolist():
+            producer(t_period)
+    with pytest.raises(ConvergenceError) as batched:
+        producer(probes)
+    assert str(batched.value) == str(per_probe.value)
 
 
 def test_kernel_scale_identity(ground_states, bifurcation_reports):

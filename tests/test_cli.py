@@ -97,6 +97,14 @@ class TestBifurcate:
         assert abs(sum(r - 1.0 for r in rho) / len(rho)) < 1e-14
 
 
+    @pytest.mark.parametrize("jmax", ["0", "-3"])
+    def test_nonpositive_jmax_is_usage_error(self, capsys, jmax):
+        code, out, err = run_cli(capsys, "bifurcate", "--n", "2", "--k", "1", "--jmax", jmax)
+        assert code == 2
+        assert out == ""
+        assert "j_max" in err
+
+
 class TestProfile:
     def test_with_explicit_period(self, capsys):
         code, out, _ = run_cli(

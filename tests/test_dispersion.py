@@ -123,6 +123,25 @@ class TestSigmaRoutes:
             sigma_ode(gs, sf, 1.0, 0)
 
 
+@pytest.mark.parametrize("case", [(2, 1.0), (2, -1.0), (3, 1.0), (3, -1.0)])
+def test_batched_sigma_reduced_matches_per_point_solves(
+    ground_states, bifurcation_reports, case
+):
+    # the two batches of the bifurcation search: the 512-point grid on
+    # [0.5, 50] and the kernel probes T_star/j, j = 2..64, whose stiffest
+    # member sets the batch's steps; compared at every fourth member, since
+    # a scalar solve of a stiff probe costs tens of milliseconds
+    gs = ground_states[case]
+    sf = SpaceForm(*case)
+    grid = np.geomspace(0.5, 50.0, 512)
+    probes = bifurcation_reports[case].t_star / np.arange(2, 65)
+    for periods in (grid, probes):
+        batched = sigma_reduced(gs, sf, periods)
+        assert batched.shape == periods.shape
+        for t_period, value in zip(periods[::4].tolist(), batched[::4].tolist()):
+            assert value == pytest.approx(sigma_reduced(gs, sf, t_period), rel=1e-9)
+
+
 class TestScan:
     def test_two_points_are_endpoints(self, ground_states):
         gs = ground_states[(2, 1.0)]

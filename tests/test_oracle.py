@@ -51,6 +51,19 @@ class TestFDLambda1:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(1.8 <= p <= 2.2 for p in orders)
 
+    @pytest.mark.parametrize("k,m", [(0.7200705196272696, 512), (9.5, 256)])
+    def test_smallest_eigenvalue_where_inverse_iteration_stalled(self, k, m):
+        # a Rayleigh-quotient stopping test at 1e-14 looped to its step cap
+        # on these two; at n = 3, lambda1 = pi^2 - k exactly
+        sf = SpaceForm(3, k)
+        diag, off = radial_operator_tridiagonal(sf, m)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        coarse = fd_lambda1_single(sf, m)
+        assert coarse == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-9)
+        exact = math.pi**2 - k
+        fine = fd_lambda1_single(sf, 2 * m)
+        assert 1.8 <= math.log2(abs(coarse - exact) / abs(fine - exact)) <= 2.2
+
     def test_discrete_operator_is_spd(self):
         # Cholesky of the symmetric tridiagonal form must succeed
         diag, off = radial_operator_tridiagonal(SpaceForm(3, 1.0), 128)
