@@ -96,7 +96,6 @@ def find_sigma_zeros(
     t_lo: float,
     t_hi: float,
     initial_points: int = INITIAL_POINTS,
-    widen: bool = True,
 ) -> list[SigmaZero]:
     """All sign-change zeros of producer on a widened window, plus suspects.
 
@@ -118,7 +117,7 @@ def find_sigma_zeros(
         raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
     lo, hi = t_lo, t_hi
     f_lo = producer(lo)
-    while f_lo <= 0.0 and widen:
+    while f_lo <= 0.0:
         if lo <= WIDEN_LO:
             raise NumericalError(
                 f"sigma not positive anywhere down to T={WIDEN_LO}; "
@@ -127,7 +126,7 @@ def find_sigma_zeros(
         lo = max(lo / 2.0, WIDEN_LO)
         f_lo = producer(lo)
     f_hi = producer(hi)
-    while f_hi >= 0.0 and widen:
+    while f_hi >= 0.0:
         if hi >= WIDEN_HI:
             raise NumericalError(
                 f"sigma not negative anywhere up to T={WIDEN_HI}; "
@@ -135,8 +134,6 @@ def find_sigma_zeros(
             )
         hi = min(hi * 2.0, WIDEN_HI)
         f_hi = producer(hi)
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        raise NumericalError("window endpoints do not bracket a sign change")
 
     grid = np.geomspace(lo, hi, initial_points)
     vals = np.asarray(producer(grid), dtype=float)
@@ -193,11 +190,10 @@ def kernel_modes(
     producer: Callable[[float | np.ndarray], float | np.ndarray],
     t_star: float,
     j_max: int = J_MAX_DEFAULT,
-    tol: float = KERNEL_TOL,
     scale: float = 1.0,
     tight_producer: Callable[[float], float] | None = None,
 ) -> list[int]:
-    """Modes j in 1..j_max with sigma(t_star / j) = 0 within tol * scale.
+    """Modes j in 1..j_max with sigma(t_star / j) = 0 within KERNEL_TOL * scale.
 
     j = 1 is a member by construction.  Any extra candidate is re-evaluated
     with the tightened producer (when given) before being admitted.
@@ -209,23 +205,18 @@ def kernel_modes(
     modes = [1]
     probes = np.asarray(producer(t_star / np.arange(2, j_max + 1)), dtype=float)
     for j, value in enumerate(probes.tolist(), start=2):
-        if abs(value) < tol * scale:
+        if abs(value) < KERNEL_TOL * scale:
             if tight_producer is not None:
-                if abs(tight_producer(t_star / j)) >= 10.0 * tol * scale:
+                if abs(tight_producer(t_star / j)) >= 10.0 * KERNEL_TOL * scale:
                     continue
             modes.append(j)
     return modes
 
 
-def crossing_parity(
-    producer: Callable[[float], float],
-    t_star: float,
-    j: int = 1,
-    steps: tuple[float, float] = (1e-4, 1e-5),
-) -> str:
+def crossing_parity(producer: Callable[[float], float], t_star: float, j: int = 1) -> str:
     """Whether sigma_j changes sign across T_star, probed at two step sizes."""
     flips = []
-    for h in steps:
+    for h in (1e-4, 1e-5):
         lo = producer(t_star * (1.0 - h) / j)
         hi = producer(t_star * (1.0 + h) / j)
         flips.append((lo > 0.0) != (hi > 0.0))
@@ -245,11 +236,12 @@ class DomainProfile:
     n: int | None = None
     k: float | None = None
 
+    def csv_text(self) -> str:
+        return "t,rho\n" + "".join(f"{ti:.17g},{ri:.17g}\n" for ti, ri in zip(self.t, self.rho))
+
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,rho\n")
-            for ti, ri in zip(self.t, self.rho):
-                fh.write(f"{ti:.17g},{ri:.17g}\n")
+            fh.write(self.csv_text())
 
 
 def domain_profile(

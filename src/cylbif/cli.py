@@ -95,7 +95,7 @@ def cmd_bifurcate(args) -> int:
         prof = domain_profile(
             report.t_star, args.epsilon, args.profile_samples, n=sf.n, k=sf.k
         )
-        prof.write_csv(_resolve_out(args.profile_out))
+        _emit(prof.csv_text(), args.profile_out)
     return 0
 
 
@@ -109,12 +109,7 @@ def cmd_profile(args) -> int:
         gs = ground_state(sf)
         t_star = run_bifurcation(gs, sf).t_star
     prof = domain_profile(t_star, args.epsilon, args.samples, n=args.n, k=args.k)
-    if args.csv_out:
-        prof.write_csv(_resolve_out(args.csv_out))
-    else:
-        sys.stdout.write("t,rho\n")
-        for ti, ri in zip(prof.t, prof.rho):
-            sys.stdout.write(f"{ti:.17g},{ri:.17g}\n")
+    _emit(prof.csv_text(), args.csv_out)
     return 0
 
 

@@ -88,9 +88,12 @@ def sigma_reduced(
 
 def _shoot_batch(sf: SpaceForm, lams: list[float], **tol) -> list:
     """(w(1), w'(1)) per member from one batched solve, or None per member when
-    the batch fails (a member whose solution overflows fails it whole)."""
+    the batch fails (a member whose solution overflows fails it whole; its
+    floating-point warnings are silenced, the callers' scalar re-solves keep
+    theirs)."""
     try:
-        w1, dw1 = shoot(sf, np.array(lams), **tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w1, dw1 = shoot(sf, np.array(lams), **tol)
     except ConvergenceError:
         return [None] * len(lams)
     return list(zip(w1.tolist(), dw1.tolist()))
@@ -348,11 +351,10 @@ def scan(
     t_hi: float,
     points: int,
     j: int = 1,
-    t_hi_cap: float = T_HI_CAP,
 ) -> DispersionCurve:
     """Log-spaced dual-route scan of sigma_j on [t_lo, t_hi].
 
-    The upper end is capped (default 200): arbitrarily large periods only
+    The upper end is capped at T_HI_CAP: arbitrarily large periods only
     probe the degenerate T -> infinity regime.  The ODE route of the whole
     grid is one batched radial solve; if that solve fails (a member whose
     solution overflows fails the batch), each member is solved on its own so
@@ -360,8 +362,8 @@ def scan(
     """
     if not 0.0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
-    if t_hi > t_hi_cap:
-        raise ValueError(f"t_hi={t_hi} exceeds the cap {t_hi_cap}")
+    if t_hi > T_HI_CAP:
+        raise ValueError(f"t_hi={t_hi} exceeds the cap {T_HI_CAP}")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     if j < 1:

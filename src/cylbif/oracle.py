@@ -46,10 +46,6 @@ class FDGrid:
                     f"time intervals must be even and >= 16, got m_t={self.m_t}"
                 )
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.m
-
 
 def _flux_weights(sf: SpaceForm, m: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Half-node fluxes a_(i+1/2) = S_k^(n-1) and cell measures w_i.
@@ -66,6 +62,30 @@ def _flux_weights(sf: SpaceForm, m: int) -> tuple[np.ndarray, np.ndarray, float]
     return a, w, h
 
 
+def _flux_rows(sf: SpaceForm, m: int):
+    """Flux-form rows of the radial operator on the m nodes r_i = i h, i < m.
+
+    Returns (lower, diag, upper, off, edge): row i reads
+    lower[i-1] u_(i-1) + diag[i] u_i + upper[i] u_(i+1), rows scaled by the
+    cell measures; off is the off-diagonal of the symmetric form (conjugated
+    by sqrt of the cell measures), and edge(b) is the right-hand side that
+    the boundary value u_m = b puts in the last row (a function rather than
+    a weight, so it rounds like a_(m-1/2) b / (h^2 w_(m-1)) for every b).
+    """
+    a, w, h = _flux_weights(sf, m)
+    diag = np.empty(m)
+    diag[0] = a[0] / (h * h * w[0])
+    diag[1:] = (a[:-1] + a[1:]) / (h * h * w[1:])
+    lower = -a[:-1] / (h * h * w[1:])
+    upper = -a[:-1] / (h * h * w[:-1])
+    off = -a[:-1] / (h * h * np.sqrt(w[:-1] * w[1:]))
+
+    def edge(b):
+        return a[m - 1] * b / (h * h * w[m - 1])
+
+    return lower, diag, upper, off, edge
+
+
 def radial_operator_tridiagonal(sf: SpaceForm, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric tridiagonal form (diag, off) of the radial operator.
 
@@ -73,11 +93,7 @@ def radial_operator_tridiagonal(sf: SpaceForm, m: int) -> tuple[np.ndarray, np.n
     measures; symmetric positive definite by construction.
     """
     FDGrid(m)
-    a, w, h = _flux_weights(sf, m)
-    diag = np.empty(m)
-    diag[0] = a[0] / (h * h * w[0])
-    diag[1:] = (a[:-1] + a[1:]) / (h * h * w[1:])
-    off = -a[: m - 1] / (h * h * np.sqrt(w[: m - 1] * w[1:]))
+    _, diag, _, off, _ = _flux_rows(sf, m)
     return diag, off
 
 
@@ -109,27 +125,17 @@ def fd_lambda1(sf: SpaceForm, m: int) -> FDLambda:
     return FDLambda(value=value, error=error, coarse=coarse, fine=fine, m=m)
 
 
-def _solve_shifted_bvp(
-    sf: SpaceForm, shift: float, boundary: float, m: int
-) -> np.ndarray:
-    """Solve (A - shift) w = 0 with w(1) = boundary; returns w on all m+1 nodes."""
-    a, w, h = _flux_weights(sf, m)
-    lower = np.zeros(m)
-    diag = np.empty(m)
-    upper = np.zeros(m)
-    diag[0] = a[0] / (h * h * w[0]) - shift
-    upper[0] = -a[0] / (h * h * w[0])
-    for i in range(1, m):
-        lower[i] = -a[i - 1] / (h * h * w[i])
-        diag[i] = (a[i - 1] + a[i]) / (h * h * w[i]) - shift
-        if i < m - 1:
-            upper[i] = -a[i] / (h * h * w[i])
+def _solve_shifted_bvp(rows, shift: float, boundary: float) -> np.ndarray:
+    """Solve (A - shift) w = 0 with w(1) = boundary on the _flux_rows of A;
+    returns w on all m+1 nodes."""
+    lower, diag, upper, _, edge = rows
+    m = len(diag)
     rhs = np.zeros(m)
-    rhs[m - 1] = a[m - 1] * boundary / (h * h * w[m - 1])
+    rhs[m - 1] = edge(boundary)
     ab = np.zeros((3, m))
-    ab[0, 1:] = upper[: m - 1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
+    ab[0, 1:] = upper
+    ab[1, :] = diag - shift
+    ab[2, :-1] = lower
     try:
         interior = solve_banded((1, 1), ab, rhs)
     except Exception as exc:
@@ -139,10 +145,11 @@ def _solve_shifted_bvp(
     return np.concatenate([interior, [boundary]])
 
 
-def _boundary_derivative(w: np.ndarray, h: float) -> float:
-    """Fourth-order one-sided derivative at the last node."""
+def _boundary_derivative(w: np.ndarray, h: float):
+    """Fourth-order one-sided derivative at the last node (along the last axis)."""
     return (
-        25.0 * w[-1] - 48.0 * w[-2] + 36.0 * w[-3] - 16.0 * w[-4] + 3.0 * w[-5]
+        25.0 * w[..., -1] - 48.0 * w[..., -2] + 36.0 * w[..., -3] - 16.0 * w[..., -4]
+        + 3.0 * w[..., -5]
     ) / (12.0 * h)
 
 
@@ -152,7 +159,7 @@ def fd_sigma(gs: GroundState, sf: SpaceForm, t_period: float, j: int, m: int) ->
     if t_period <= 0.0 or j < 1:
         raise ValueError(f"need T > 0 and j >= 1, got T={t_period}, j={j}")
     shift = gs.lambda1 - (2.0 * math.pi * j / t_period) ** 2
-    w = _solve_shifted_bvp(sf, shift, -gs.dphi1, m)
+    w = _solve_shifted_bvp(_flux_rows(sf, m), shift, -gs.dphi1)
     return _boundary_derivative(w, 1.0 / m) + gs.ddphi1
 
 
@@ -181,10 +188,11 @@ def fd_dtn_diag(
     """
     FDGrid(m, m_t)
     h_t = t_period / m_t
+    rows = _flux_rows(sf, m)
     out = np.empty(m_t // 2 - 1)
     for j in range(1, m_t // 2):
         shift = gs.lambda1 + _discrete_time_eigenvalue(j, m_t, h_t)
-        w = _solve_shifted_bvp(sf, shift, -gs.dphi1, m)
+        w = _solve_shifted_bvp(rows, shift, -gs.dphi1)
         out[j - 1] = _boundary_derivative(w, 1.0 / m) + gs.ddphi1
     return out
 
@@ -213,22 +221,9 @@ def fd_dtn_matrix(
     if method != "coupled":
         raise ValueError(f"unknown method {method!r}; use 'per_mode' or 'coupled'")
 
-    a, w, h = _flux_weights(sf, m)
+    lower, diag, upper, _, edge = _flux_rows(sf, m)
     h_t = t_period / m_t
-    # radial flux-form operator (m x m, rows scaled by cell measures)
-    lower = np.zeros(m)
-    diag = np.empty(m)
-    upper = np.zeros(m)
-    diag[0] = a[0] / (h * h * w[0])
-    upper[0] = -a[0] / (h * h * w[0])
-    for i in range(1, m):
-        lower[i] = -a[i - 1] / (h * h * w[i])
-        diag[i] = (a[i - 1] + a[i]) / (h * h * w[i])
-        if i < m - 1:
-            upper[i] = -a[i] / (h * h * w[i])
-    radial = sp.diags(
-        [lower[1:], diag, upper[: m - 1]], offsets=[-1, 0, 1], format="csr"
-    )
+    radial = sp.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csr")
     ones = np.ones(m_t)
     d_t2 = sp.diags(
         [ones[:-1], -2.0 * ones, ones[:-1]], offsets=[-1, 0, 1], format="lil"
@@ -247,25 +242,16 @@ def fd_dtn_matrix(
         raise DegeneracyError(f"coupled 2D system factorization failed: {exc}") from exc
 
     t_nodes = np.arange(m_t)
-    if n_modes < 1:
-        raise ValueError("m_t too small to carry any nonzero mode")
     matrix = np.empty((n_modes, n_modes))
     for j in range(1, m_t // 2):
         bc = -gs.dphi1 * np.cos(2.0 * math.pi * j * t_nodes / m_t)
         rhs = np.zeros(m * m_t)
-        rhs[(m - 1)::m] = a[m - 1] * bc / (h * h * w[m - 1])
+        rhs[(m - 1)::m] = edge(bc)
         psi = lu.solve(rhs)
         if not np.all(np.isfinite(psi)):
             raise DegeneracyError("coupled 2D solve produced non-finite values")
-        psi = psi.reshape(m_t, m)
-        full = np.hstack([psi, bc[:, None]])  # append boundary column
-        dpsi = (
-            25.0 * full[:, -1]
-            - 48.0 * full[:, -2]
-            + 36.0 * full[:, -3]
-            - 16.0 * full[:, -4]
-            + 3.0 * full[:, -5]
-        ) / (12.0 * h)
+        full = np.hstack([psi.reshape(m_t, m), bc[:, None]])  # append boundary column
+        dpsi = _boundary_derivative(full, 1.0 / m)
         h_of_e = dpsi + gs.ddphi1 * np.cos(2.0 * math.pi * j * t_nodes / m_t)
         for jp in range(1, m_t // 2):
             matrix[jp - 1, j - 1] = (

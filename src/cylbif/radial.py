@@ -143,23 +143,17 @@ class RadialSolution:
         return float(out) if out.ndim == 0 else out
 
 
-def solve_regular(
-    sf: SpaceForm,
-    lam: float,
-    delta: float = DEFAULT_DELTA,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    points: int = PROFILE_POINTS,
-) -> RadialSolution:
+def solve_regular(sf: SpaceForm, lam: float) -> RadialSolution:
     """Integrate the regular solution on [delta, 1] and resample its profile.
 
     The uniform resampling evaluates the integrator's own dense output, so
     the stored samples carry the integration accuracy; the cubic Hermite
-    interpolant between them is then accurate to O((1/points)^4).
+    interpolant between them is then accurate to O((1/PROFILE_POINTS)^4).
     """
-    sol = _integrate(sf, lam, 1.0, delta, rtol, atol, dense_output=True)
+    delta = DEFAULT_DELTA
+    sol = _integrate(sf, lam, 1.0, delta, DEFAULT_RTOL, DEFAULT_ATOL, dense_output=True)
     f = _rhs(sf, lam)
-    r_grid = np.linspace(0.0, 1.0, points)
+    r_grid = np.linspace(0.0, 1.0, PROFILE_POINTS)
     t = np.unique(np.concatenate([[delta], r_grid[r_grid > delta], [1.0]]))
     u, du = sol.sol(t)
     u[-1], du[-1] = sol.y[0, -1], sol.y[1, -1]  # exact endpoint state
@@ -173,8 +167,8 @@ def solve_regular(
         du1=float(du[-1]),
         delta=delta,
         r=r_grid,
-        u=np.empty(points),
-        du=np.empty(points),
+        u=np.empty(PROFILE_POINTS),
+        du=np.empty(PROFILE_POINTS),
         _u_spline=u_spline,
         _du_spline=du_spline,
     )
@@ -183,15 +177,14 @@ def solve_regular(
     return result
 
 
-def rk4_shoot(
-    sf: SpaceForm, lam: float, delta: float = 1e-3, steps: int = 20000
-) -> tuple[float, float]:
+def rk4_shoot(sf: SpaceForm, lam: float, steps: int = 20000) -> tuple[float, float]:
     """(u(1), u'(1)) by a fixed-step classical RK4 march.
 
     Deliberately independent of the adaptive integrator; used as the
     dual-integrator cross-check.  Starts at a larger delta so the first step
     does not straddle the steep 1/r drift region.
     """
+    delta = 1e-3
     u, du = frobenius_start(sf, lam, delta)
     f = _rhs(sf, lam)
     h = (1.0 - delta) / steps
@@ -210,17 +203,10 @@ def rk4_shoot(
     return y
 
 
-def first_zero(
-    sf: SpaceForm,
-    lam: float,
-    r_max: float,
-    delta: float = DEFAULT_DELTA,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> float | None:
+def first_zero(sf: SpaceForm, lam: float, r_max: float) -> float | None:
     """First zero of the regular solution in (0, r_max], or None if it has none."""
-    if not r_max > delta:
-        raise ValueError(f"r_max must exceed delta={delta}, got r_max={r_max}")
+    if not r_max > DEFAULT_DELTA:
+        raise ValueError(f"r_max must exceed delta={DEFAULT_DELTA}, got r_max={r_max}")
     if sf.k > 0 and r_max >= sf.r_max:
         raise ValueError(
             f"r_max must stay below pi/sqrt(k) = {sf.r_max:.12g}, got r_max={r_max}"
@@ -231,6 +217,6 @@ def first_zero(
 
     crossing.terminal = True
     crossing.direction = 0
-    sol = _integrate(sf, lam, r_max, delta, rtol, atol, events=crossing)
+    sol = _integrate(sf, lam, r_max, DEFAULT_DELTA, DEFAULT_RTOL, DEFAULT_ATOL, events=crossing)
     events = sol.t_events[0]
     return float(events[0]) if len(events) else None

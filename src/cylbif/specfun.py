@@ -16,14 +16,16 @@ The first-kind functions are evaluated through
 series coefficient is real, because (nu+1+s)(s-nu) = (s+1/2)^2 + tau^2; the
 implementation exploits this so conical values are exactly real.
 
-Direct summation converges for |1-x|/2 < 1.  Beyond that (x > ~2.5, needed
-only for identity testing against the second-kind function) a Pfaff
-transformation moves the argument to (x-1)/(x+1) < 1, at the price of
-requiring a real degree.
+Direct summation converges for |1-x|/2 < 1.  Beyond that (x > 2.5, reached
+by the dispersion route at k < ~-2.456) a Pfaff transformation moves the
+argument to (x-1)/(x+1) < 1, at the price of requiring a real degree.  Both
+real forms are summed by one kernel, _hyp_real; the complex olver_hyp is the
+reference behind legendre_q and the realness checks.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 
 from .errors import ConvergenceError, GammaPoleError
 from .geometry import SpaceForm
@@ -146,21 +148,19 @@ def _degree_beta(nu: complex) -> float:
     return -(nu.imag**2)
 
 
-def _hyp_degree(nu: complex, c: float, w: float) -> float:
-    """F_olver(nu+1, -nu; c; w) for real c, w; exactly real output.
+def _hyp_real(h: float, beta: float, c: float, z: float) -> float:
+    """sum_s t_s with t_(s+1)/t_s = ((s+h)^2 - beta) z / ((c+s)(s+1)), real c, z.
 
-    Uses (nu+1+s)(s-nu) = (s+1/2)^2 - (nu+1/2)^2, which is real for both real
-    and conical degrees.
+    This is F_olver(a, b; c; z) for any a, b with (a+s)(b+s) = (s+h)^2 - beta,
+    started at t_0 = 1/Gamma(c); at a non-positive integer c the Gamma-pole
+    terms vanish and summation starts at s = 1 - c.
     """
-    if abs(w) >= 1.0:
-        raise ValueError(f"series argument must satisfy |w| < 1, got w={w:.6g}")
-    beta = _degree_beta(nu)
     if c <= 0.0 and c == round(c):
         s0 = int(round(1.0 - c))
         term = 1.0
         for i in range(s0):
-            term *= (i + 0.5) ** 2 - beta
-        term *= w**s0 / math.factorial(s0)
+            term *= (i + h) ** 2 - beta
+        term *= z**s0 / math.factorial(s0)
     else:
         s0 = 0
         term = 1.0 / math.gamma(c)
@@ -169,7 +169,8 @@ def _hyp_degree(nu: complex, c: float, w: float) -> float:
     quiet = 0
     s = s0
     while s < _MAX_TERMS:
-        term = term * (((s + 0.5) ** 2 - beta) * w) / ((c + s) * (s + 1.0))
+        q = s + h  # q * q: exact for the degree form (q = s + 1/2), cheaper than q ** 2
+        term = term * ((q * q - beta) * z) / ((c + s) * (s + 1.0))
         total += term
         if abs(total) > largest:
             largest = abs(total)
@@ -181,52 +182,44 @@ def _hyp_degree(nu: complex, c: float, w: float) -> float:
             quiet = 0
         s += 1
     raise ConvergenceError(
-        f"degree-form hypergeometric series did not converge within {_MAX_TERMS} "
-        f"terms (nu={nu}, c={c}, w={w})",
+        f"hypergeometric series did not converge within {_MAX_TERMS} terms",
         residual=abs(term) / largest if largest > 0 else math.inf,
     )
+
+
+def _hyp_degree(nu: complex, c: float, w: float) -> float:
+    """F_olver(nu+1, -nu; c; w) for real c, w; exactly real output.
+
+    Uses (nu+1+s)(s-nu) = (s+1/2)^2 - (nu+1/2)^2, which is real for both real
+    and conical degrees.
+    """
+    if abs(w) >= 1.0:
+        raise ValueError(f"series argument must satisfy |w| < 1, got w={w:.6g}")
+    try:
+        return _hyp_real(0.5, _degree_beta(nu), c, w)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"degree-form {exc} (nu={nu}, c={c}, w={w})", residual=exc.residual
+        ) from None
 
 
 def _hyp_degree_pfaff(nu: float, c: float, x: float) -> float:
     """F_olver(nu+1, -nu; c; (1-x)/2) for x > 1 via the Pfaff transformation.
 
     F(a, b; c; w) = (1-w)^(-a) F(a, c-b; c; w/(w-1)) maps the argument to
-    y = (x-1)/(x+1) in (0, 1), convergent for every x > 1.  Real degree only:
-    for conical degrees the transformed coefficients are no longer real.
+    y = (x-1)/(x+1) in (0, 1), convergent for every x > 1.  With a = nu+1 and
+    c-b = c+nu, (a+s)(c-b+s) = (s+h)^2 - ((1-c)/2)^2 for h = nu + (1+c)/2.
+    Real degree only: for conical degrees the transformed coefficients are no
+    longer real.
     """
     y = (x - 1.0) / (x + 1.0)
-    a = nu + 1.0
-    b = c + nu
-    if c <= 0.0 and c == round(c):
-        s0 = int(round(1.0 - c))
-        term = 1.0
-        for i in range(s0):
-            term *= (a + i) * (b + i)
-        term *= y**s0 / math.factorial(s0)
-    else:
-        s0 = 0
-        term = 1.0 / math.gamma(c)
-    total = term
-    largest = abs(total)
-    quiet = 0
-    s = s0
-    while s < _MAX_TERMS:
-        term = term * (a + s) * (b + s) * y / ((c + s) * (s + 1.0))
-        total += term
-        if abs(total) > largest:
-            largest = abs(total)
-        if abs(term) <= _TERM_CUTOFF * largest:
-            quiet += 1
-            if quiet >= _QUIET_TERMS:
-                return ((x + 1.0) / 2.0) ** (-a) * total
-        else:
-            quiet = 0
-        s += 1
-    raise ConvergenceError(
-        f"Pfaff-form hypergeometric series did not converge within {_MAX_TERMS} "
-        f"terms (nu={nu}, c={c}, x={x})",
-        residual=abs(term) / largest if largest > 0 else math.inf,
-    )
+    try:
+        total = _hyp_real(nu + (1.0 + c) / 2.0, ((1.0 - c) / 2.0) ** 2, c, y)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"Pfaff-form {exc} (nu={nu}, c={c}, x={x})", residual=exc.residual
+        ) from None
+    return ((x + 1.0) / 2.0) ** (-(nu + 1.0)) * total
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +227,7 @@ def _hyp_degree_pfaff(nu: float, c: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Degree:
     """Legendre/Ferrers degree nu = -1/2 + sqrt((n-1)^2/4 + lam/k).
 
@@ -241,15 +235,11 @@ class Degree:
     either real or conical (-1/2 + i*tau with tau > 0).
     """
 
-    __slots__ = ("value",)
+    value: complex
 
-    def __init__(self, value: complex):
-        value = complex(value)
-        _degree_beta(value)  # validates the real-or-conical constraint
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):  # immutable
-        raise AttributeError("Degree is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "value", complex(self.value))
+        _degree_beta(self.value)  # validates the real-or-conical constraint
 
     @classmethod
     def from_spectral(cls, sf: SpaceForm, lam: float) -> "Degree":
@@ -271,15 +261,6 @@ class Degree:
 
     def __complex__(self) -> complex:
         return self.value
-
-    def __repr__(self) -> str:
-        return f"Degree({self.value!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Degree) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
 
 
 def _coerce_degree(nu) -> complex:

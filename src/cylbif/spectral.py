@@ -26,7 +26,7 @@ _SCAN_BLOCK = 400  # grid points per batched solve of the coarse scan (Lam < 100
 ROOT_TOL = 1e-12
 
 
-def find_lambda1(sf: SpaceForm, cap: float = SCAN_CAP) -> float:
+def find_lambda1(sf: SpaceForm) -> float:
     """Smallest Lam > 0 with u(1; Lam) = 0 for the regular solution.
 
     Coarse scan from SCAN_START in steps of SCAN_STEP locates the first sign
@@ -36,7 +36,7 @@ def find_lambda1(sf: SpaceForm, cap: float = SCAN_CAP) -> float:
     so its cost hardly depends on where lambda1 lies.
     """
     grid = [SCAN_START]
-    while grid[-1] < cap:
+    while grid[-1] < SCAN_CAP:
         grid.append(grid[-1] + SCAN_STEP)
     for start in range(0, len(grid) - 1, _SCAN_BLOCK):
         lams = grid[start : start + _SCAN_BLOCK + 1]  # blocks overlap by one point
@@ -50,7 +50,7 @@ def find_lambda1(sf: SpaceForm, cap: float = SCAN_CAP) -> float:
             break
     else:
         raise ConvergenceError(
-            f"no sign change of u(1; Lam) found for Lam <= {cap} (n={sf.n}, k={sf.k})"
+            f"no sign change of u(1; Lam) found for Lam <= {SCAN_CAP} (n={sf.n}, k={sf.k})"
         )
 
     # Bisection to a narrow bracket, then secant steps kept inside it.

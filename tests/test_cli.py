@@ -117,6 +117,15 @@ class TestProfile:
         rho = [float(line.split(",")[1]) for line in lines[1:]]
         assert rho[4] == pytest.approx(0.75, abs=1e-14)  # half period
 
+    def test_stdout_equals_csv_file(self, capsys, tmp_path):
+        path = tmp_path / "profile.csv"
+        argv = ["profile", "--n", "2", "--k", "1", "--tstar", "3.0"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, _, _ = run_cli(capsys, *argv, "--csv-out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode()
+
     def test_epsilon_cap_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "profile", "--n", "2", "--k", "1", "--tstar", "3.0",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,18 @@ def test_scan_isolates_overflowing_members(ground_states):
             assert row["sigma_ode"] == expected
             assert row["agree_flag"]
     assert 0 < failed < len(rows)
+
+
+def test_overflowing_batch_prints_no_warnings(ground_states):
+    # the batch failure is handled by the per-member fallback, so the batched
+    # solve must not also emit numpy's overflow warnings
+    from cylbif.dispersion import _shoot_batch
+
+    gs = ground_states[(2, 1.0)]
+    lams = [shifted_lambda(gs, t, 1) for t in np.geomspace(0.004, 0.04, 4).tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _shoot_batch(SpaceForm(2, 1.0), lams) == [None] * 4
 
 
 class TestGeneralCurvature:

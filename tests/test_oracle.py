@@ -8,6 +8,7 @@ from cylbif.dispersion import sigma_ode
 from cylbif.geometry import SpaceForm
 from cylbif.oracle import (
     FDGrid,
+    _flux_rows,
     fd_dtn_diag,
     fd_dtn_matrix,
     fd_lambda1,
@@ -71,6 +72,16 @@ class TestFDLambda1:
         band[0, 1:] = off
         band[1, :] = diag
         cholesky_banded(band)  # raises if not SPD
+
+
+@pytest.mark.parametrize("n,k", [(2, 1.0), (3, -1.0), (4, 2.5)])
+def test_symmetric_form_matches_flux_rows(n, k):
+    # conjugating by sqrt of the cell measures keeps the diagonal and turns
+    # each pair of flux-form off-diagonals into their geometric mean
+    lower, diag, upper, _, _ = _flux_rows(SpaceForm(n, k), 64)
+    sym_diag, sym_off = radial_operator_tridiagonal(SpaceForm(n, k), 64)
+    assert np.array_equal(sym_diag, diag)
+    np.testing.assert_allclose(sym_off**2, lower * upper, rtol=1e-14, atol=0.0)
 
 
 class TestFDSigma:

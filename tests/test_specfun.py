@@ -178,6 +178,40 @@ class TestLegendreP:
             legendre_p(0.0, 1.0, 0.9)
 
 
+class TestAgainstMpmath:
+    """Both real series forms against mpmath's legenp (type 3: x > 1, type 2:
+    Ferrers), within 1e-12 relative."""
+
+    ORDERS = (0.0, 0.5, -0.5, 1.0, 1.5, -1.5, 2.0)
+
+    @staticmethod
+    def reference(nu, m, x, kind):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            return float(mpmath.re(mpmath.legenp(nu, m, x, type=kind)))
+
+    @staticmethod
+    def assert_close(got, ref):
+        if ref == 0.0:  # terminating integer degree below the order
+            assert got == 0.0
+        else:
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("x", [2.6, 3.0, 5.0, 10.0, 30.0])
+    def test_pfaff_branch(self, x):
+        for m in self.ORDERS:
+            for nu in (0.0, 0.3, 1.0, 2.0, 2.7, 5.5):
+                self.assert_close(legendre_p(m, nu, x), self.reference(nu, m, x, 3))
+
+    @pytest.mark.parametrize("nu", [0.3, 2.0, 2.7, complex(-0.5, 0.7), complex(-0.5, 2.0)])
+    def test_degree_form(self, nu):
+        for m in self.ORDERS:
+            for x in (1.1, 1.7, 2.0):
+                self.assert_close(legendre_p(m, nu, x), self.reference(nu, m, x, 3))
+            for x in (-0.9, -0.3, 0.4, 0.95):
+                self.assert_close(ferrers_p(m, nu, x), self.reference(nu, m, x, 2))
+
+
 class TestLegendreQ:
     def test_connection_formula_residual(self):
         mu, nu, x = 0.5, 1.3, 5.0
