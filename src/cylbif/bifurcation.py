@@ -17,7 +17,7 @@ import numpy as np
 from .dispersion import sigma_reduced
 from .errors import NumericalError
 from .geometry import SpaceForm, radial_drift
-from .spectral import GroundState
+from .spectral import GroundState, bracketed_root
 
 WIDEN_LO = 1e-3
 WIDEN_HI = 1e4
@@ -42,33 +42,13 @@ class SigmaZero:
     sigma_min: float | None = None  # |sigma| at a suspected tangential zero
 
 
-def _bisect_zero(producer, a, b, fa, fb) -> SigmaZero:
-    if fa == 0.0:
-        return SigmaZero(t0=a, sign_change=True, width=0.0)
-    if fb == 0.0:
-        return SigmaZero(t0=b, sign_change=True, width=0.0)
-    # local trisection first: narrows the bracket and separates close zeros
-    for _ in range(2):
-        thirds = [a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0]
-        fs = [producer(t) for t in thirds]
-        pts = [a, *thirds, b]
-        vals = [fa, *fs, fb]
-        for i in range(3):
-            if vals[i] == 0.0:
-                return SigmaZero(t0=pts[i], sign_change=True, width=0.0)
-            if vals[i] * vals[i + 1] < 0.0:
-                a, fa, b, fb = pts[i], vals[i], pts[i + 1], vals[i + 1]
-                break
-    while (b - a) > ZERO_WIDTH_REL * 0.5 * (a + b):
-        mid = 0.5 * (a + b)
-        fm = producer(mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
+def _refine_zero(producer, a, b, fa, fb) -> SigmaZero:
+    """Shrink a sign-change bracket to width ZERO_WIDTH_REL * its midpoint."""
+    a, _, b, _ = bracketed_root(
+        producer, a, fa, b, fb,
+        lambda a, fa, b, fb: b - a <= ZERO_WIDTH_REL * 0.5 * (a + b),
+        min_step=0.5 * ZERO_WIDTH_REL * a,
+    )
     return SigmaZero(t0=0.5 * (a + b), sign_change=True, width=b - a)
 
 
@@ -102,16 +82,15 @@ def find_sigma_zeros(
     The window is auto-widened (down to WIDEN_LO, up to WIDEN_HI) until
     producer(t_lo) > 0 > producer(t_hi); failure to achieve that raises,
     since the limits at 0+ and +infinity force a sign change.  Sign-change
-    brackets on a log grid are refined by trisection and bisection to width
-    ZERO_WIDTH_REL * T0.  Local minima of |sigma| that refine to essentially
+    brackets on a log grid are shrunk by spectral.bracketed_root (safeguarded
+    Illinois regula falsi) to width at most ZERO_WIDTH_REL * T0, so width is
+    a certified bracket.  Local minima of |sigma| that refine to essentially
     zero without a sign flip are reported as suspected tangential.
 
     producer is called once with the whole grid as an ndarray and must return
-    the values elementwise; every other call (widening, trisection,
-    bisection, tangential search) passes a float.  Grid values only pick
-    bracket signs and candidate minima (with their tolerance scale), so the
-    zeros equal those found with one scalar call per grid point as long as
-    the signs agree.
+    the values elementwise; every other call (widening, bracket refinement,
+    tangential search) passes a float.  Grid values pick bracket signs and
+    candidate minima, and seed the first regula falsi step of each bracket.
     """
     if not 0.0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
@@ -146,7 +125,7 @@ def find_sigma_zeros(
         if vals[i] * vals[i + 1] < 0.0:
             bracket_cells.add(i)
             zeros.append(
-                _bisect_zero(
+                _refine_zero(
                     producer, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1]
                 )
             )

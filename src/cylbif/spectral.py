@@ -1,8 +1,10 @@
 """Ground state of the unit geodesic ball: lambda1, profile, boundary data.
 
 lambda1 is the smallest Lam > 0 for which the regular radial solution
-vanishes at r = 1, found by a coarse scan and a bracket-safe bisection/secant
-polish on u(1; Lam).  The eigenfunction phi = s * u is normalized so that
+vanishes at r = 1, found by a coarse scan that brackets the first sign change
+of u(1; Lam) and a polish of that bracket by bracketed_root, a safeguarded
+Illinois regula falsi that the bifurcation search shares.  The eigenfunction
+phi = s * u is normalized so that
 
     2 pi * Vol(S^(n-1)) * int_0^1 phi^2 S_k(r)^(n-1) dr = 1,
 
@@ -26,14 +28,65 @@ _SCAN_BLOCK = 400  # grid points per batched solve of the coarse scan (Lam < 100
 ROOT_TOL = 1e-12
 
 
+def bracketed_root(
+    f, a: float, fa: float, b: float, fb: float, done, min_step: float = 0.0
+) -> tuple[float, float, float, float]:
+    """Shrink a sign-change bracket of f until done(a, fa, b, fb) holds.
+
+    fa and fb are f(a) and f(b) with a < b and strictly opposite signs.  Each
+    step is Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the
+    secant of the bracket ends, with the value of an end kept twice in a row
+    halved.  Near a simple root this converges superlinearly.  Whenever the
+    bracket is still wider than bisection at half speed would have left it
+    (three steps of grace), the step bisects instead, so a multiple or badly
+    scaled root costs at most about twice the bisection count.  Trial points
+    stay min_step inside the bracket (Dekker's rule), so an end that already
+    sits on the root closes a width-based rule with one more step.
+
+    The bracket keeps a strict sign change throughout; an exact zero at an
+    end or a trial point returns at once as (x, 0, x, 0).  Returns the final
+    (a, fa, b, fb); it also stops when the bracket cannot shrink in floating
+    point.
+    """
+    if fa == 0.0:
+        return a, fa, a, fa
+    if fb == 0.0:
+        return b, fb, b, fb
+    ga, gb = fa, fb  # interpolation weights: f at the ends, Illinois-halved
+    kept = 0  # +1 if the last step kept a, -1 if it kept b
+    width0, steps = b - a, 0
+    while not done(a, fa, b, fb):
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        x = min(max(b - gb * (b - a) / (gb - ga), a + min_step), b - min_step)
+        if b - a > width0 * 0.5 ** ((steps - 3) / 2) or not a < x < b:
+            x = mid
+        fx = f(x)
+        steps += 1
+        if fx == 0.0:
+            return x, fx, x, fx
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa, ga = x, fx, fx
+            if kept < 0:
+                gb *= 0.5
+            kept = -1
+        else:
+            b, fb, gb = x, fx, fx
+            if kept > 0:
+                ga *= 0.5
+            kept = 1
+    return a, fa, b, fb
+
+
 def find_lambda1(sf: SpaceForm) -> float:
     """Smallest Lam > 0 with u(1; Lam) = 0 for the regular solution.
 
-    Coarse scan from SCAN_START in steps of SCAN_STEP locates the first sign
-    change of u(1; Lam); bisection plus secant polish drives |u(1)| below
-    ROOT_TOL.  u(1; Lam) decreases through the crossing (simple eigenvalue).
-    The scan grid is shot _SCAN_BLOCK points at a time by one batched solve,
-    so its cost hardly depends on where lambda1 lies.
+    A coarse scan from Lam = 0 (where the regular solution is the constant 1),
+    then from SCAN_START in steps of SCAN_STEP, locates the first sign change
+    of u(1; Lam); bracketed_root polishes it until |u(1)| < ROOT_TOL.  The
+    scan grid is shot _SCAN_BLOCK points at a time by one batched solve, so
+    its cost hardly depends on where lambda1 lies.
     """
     grid = [SCAN_START]
     while grid[-1] < SCAN_CAP:
@@ -41,50 +94,25 @@ def find_lambda1(sf: SpaceForm) -> float:
     for start in range(0, len(grid) - 1, _SCAN_BLOCK):
         lams = grid[start : start + _SCAN_BLOCK + 1]  # blocks overlap by one point
         u1 = shoot(sf, np.array(lams))[0].tolist()
-        if start == 0 and u1[0] <= 0.0:
-            raise ConvergenceError(f"u(1) not positive at scan start Lam={SCAN_START}")
-        cross = [i for i in range(len(lams) - 1) if u1[i] * u1[i + 1] < 0.0]
-        if cross:
-            i = cross[0]
-            lam_lo, f_lo, lam_hi, f_hi = lams[i], u1[i], lams[i + 1], u1[i + 1]
+        if start == 0:
+            lams, u1 = [0.0, *lams], [1.0, *u1]
+        i = next((i for i, u in enumerate(u1) if u <= 0.0), None)
+        if i is not None:
             break
     else:
         raise ConvergenceError(
             f"no sign change of u(1; Lam) found for Lam <= {SCAN_CAP} (n={sf.n}, k={sf.k})"
         )
 
-    # Bisection to a narrow bracket, then secant steps kept inside it.
-    a, fa, b, fb = lam_lo, f_lo, lam_hi, f_hi
-    for _ in range(30):
-        mid = 0.5 * (a + b)
-        fm = shoot(sf, mid)[0]
-        if fa * fm <= 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    lam_prev, f_prev = a, fa
-    lam_cur, f_cur = b, fb
-    for _ in range(60):
-        if abs(f_cur) < ROOT_TOL:
-            return lam_cur
-        denom = f_cur - f_prev
-        if denom == 0.0:
-            break
-        lam_next = lam_cur - f_cur * (lam_cur - lam_prev) / denom
-        if not a <= lam_next <= b:
-            lam_next = 0.5 * (a + b)
-        f_next = shoot(sf, lam_next)[0]
-        if fa * f_next <= 0.0:
-            b, fb = lam_next, f_next
-        else:
-            a, fa = lam_next, f_next
-        lam_prev, f_prev = lam_cur, f_cur
-        lam_cur, f_cur = lam_next, f_next
-    if abs(f_cur) < 1e-10:
-        return lam_cur
-    raise ConvergenceError(
-        f"eigenvalue polish stalled at Lam={lam_cur} with |u(1)|={abs(f_cur):.3g}"
+    a, fa, b, fb = bracketed_root(
+        lambda lam: shoot(sf, lam)[0],
+        lams[i - 1], u1[i - 1], lams[i], u1[i],
+        lambda a, fa, b, fb: min(abs(fa), abs(fb)) < ROOT_TOL,
     )
+    lam, f = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    if abs(f) < 1e-10:
+        return lam
+    raise ConvergenceError(f"eigenvalue polish stalled at Lam={lam} with |u(1)|={abs(f):.3g}")
 
 
 def _profile_integral(

@@ -165,8 +165,10 @@ class TestRealPipeline:
         assert rep2.t_star == bifurcation_reports[(2, 1.0)].t_star
 
     def test_batched_grid_finds_the_per_point_zeros(self, ground_states, bifurcation_reports):
-        # the grid values only pick signs, so one scalar solve per grid
-        # point must give the very same zeros
+        # the grid values pick signs and seed the first regula falsi step;
+        # here the refinement forgets its seed, so one scalar solve per grid
+        # point gives the very same zeros (on other cases they can differ
+        # within the bracket width)
         gs = ground_states[(2, 1.0)]
         sf = SpaceForm(2, 1.0)
 
@@ -192,7 +194,7 @@ class TestRealPipeline:
 
         monkeypatch.setattr(radial, "solve_ivp", counting)
         run_bifurcation(ground_states[(2, 1.0)], SpaceForm(2, 1.0))
-        assert len(calls) <= 45
+        assert len(calls) <= 20
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -27,6 +27,11 @@ class TestEigen:
         payload = json.loads(out)
         assert payload["norm_residual"] < 1e-9
 
+    def test_lambda1_below_scan_start(self, capsys):
+        code, out, _ = run_cli(capsys, "eigen", "--n", "12", "--k", "7")
+        assert code == 0
+        assert json.loads(out)["lambda1"] == pytest.approx(0.04750873059, rel=1e-6)
+
     def test_invalid_dimension_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eigen", "--n", "1", "--k", "1")
         assert code == 2
