@@ -171,8 +171,9 @@ def kernel_modes(
     j_max: int = J_MAX_DEFAULT,
     scale: float = 1.0,
     tight_producer: Callable[[float], float] | None = None,
-) -> list[int]:
-    """Modes j in 1..j_max with sigma(t_star / j) = 0 within KERNEL_TOL * scale.
+) -> tuple[list[int], list[float]]:
+    """Modes j in 1..j_max with sigma(t_star / j) = 0 within KERNEL_TOL * scale,
+    and the probe values sigma(t_star / j), j = 2..j_max.
 
     j = 1 is a member by construction.  Any extra candidate is re-evaluated
     with the tightened producer (when given) before being admitted.
@@ -182,14 +183,14 @@ def kernel_modes(
     candidate.
     """
     modes = [1]
-    probes = np.asarray(producer(t_star / np.arange(2, j_max + 1)), dtype=float)
-    for j, value in enumerate(probes.tolist(), start=2):
+    probes = np.asarray(producer(t_star / np.arange(2, j_max + 1)), dtype=float).tolist()
+    for j, value in enumerate(probes, start=2):
         if abs(value) < KERNEL_TOL * scale:
             if tight_producer is not None:
                 if abs(tight_producer(t_star / j)) >= 10.0 * KERNEL_TOL * scale:
                     continue
             modes.append(j)
-    return modes
+    return modes, probes
 
 
 def crossing_parity(producer: Callable[[float], float], t_star: float, j: int = 1) -> str:
@@ -306,11 +307,12 @@ def run_bifurcation(
     zeros = find_sigma_zeros(producer, t_lo, t_hi)
     t_star = select_t_star(zeros)
     scale = 1.0 + radial_drift(sf, 1.0)
-    modes = kernel_modes(
+    modes, probes = kernel_modes(
         producer, t_star, j_max=j_max, scale=scale, tight_producer=tight_producer
     )
     parity = {j: crossing_parity(producer, t_star, j) for j in modes}
-    sigma_at_j_max = producer(t_star / j_max)
+    # the last kernel probe is sigma(t_star / j_max); j_max = 1 has no probes
+    sigma_at_j_max = probes[-1] if probes else producer(t_star)
     return BifurcationReport(
         n=sf.n,
         k=sf.k,

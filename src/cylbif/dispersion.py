@@ -21,7 +21,10 @@ Two independent evaluation routes are provided:
                        the ground state in the interior.
 
 Agreement between the routes at every (T, j) is the package's central
-correctness property.
+correctness property.  Both routes take an ndarray of periods: ``sigma_ode``
+as one batched radial solve, ``sigma_closed`` as one vectorized series
+summation per order, bit-equal to its scalar evaluation member by member.
+A scan evaluates each route of its whole grid that way.
 """
 
 import math
@@ -33,7 +36,7 @@ import numpy as np
 from .errors import ConvergenceError, DegeneracyError
 from .geometry import SpaceForm, c_k, radial_drift, s_k
 from .spectral import GroundState
-from .specfun import Degree, ferrers_p, legendre_p
+from .specfun import Degree, _first_kind_many, ferrers_p, legendre_p
 from .radial import shoot
 
 AGREEMENT_RTOL = 1e-7
@@ -127,6 +130,7 @@ class _ClosedFormContext:
 
     mu: float
     integer_order: bool
+    m0: float  # order of the representation, and of the denominator function
     x1: float
     s1_pow: float  # S_k(1)^(1 - n/2)
     s1_pow_n2: float  # S_k(1)^(-n/2)
@@ -175,6 +179,7 @@ def _closed_form_context(gs: GroundState, sf: SpaceForm) -> _ClosedFormContext:
     ctx = _ClosedFormContext(
         mu=mu,
         integer_order=integer_order,
+        m0=m0,
         x1=x1,
         s1_pow=s1 ** (1.0 - n / 2.0),
         s1_pow_n2=s1 ** (-n / 2.0),
@@ -187,7 +192,9 @@ def _closed_form_context(gs: GroundState, sf: SpaceForm) -> _ClosedFormContext:
     return ctx
 
 
-def sigma_closed(gs: GroundState, sf: SpaceForm, t_period: float, j: int = 1) -> float:
+def sigma_closed(
+    gs: GroundState, sf: SpaceForm, t_period: float | np.ndarray, j: int = 1
+) -> float | np.ndarray:
     """sigma_j(T) through the closed-form case table.
 
     k < 0, integer mu:      c'(1) = s k S^(1-n/2) P^(mu+1)_nu P^(mu+1)_nu* / P^mu_nu*
@@ -197,34 +204,65 @@ def sigma_closed(gs: GroundState, sf: SpaceForm, t_period: float, j: int = 1) ->
                             A = -s sqrt(-k) P^(-mu+1)_nu / P^(-mu)_nu*
     k > 0, half-integer mu: same with Ferrers functions and sqrt(k)
 
-    with all functions evaluated at x = C_k(1).
+    with all functions evaluated at x = C_k(1).  An ndarray of periods is
+    summed as one series per order over all members, bit-equal to the scalar
+    evaluation of each; a member that the batch could not evaluate is
+    evaluated on its own, so the first failing member raises its own error.
     """
-    ctx = _closed_form_context(gs, sf)
-    lam = shifted_lambda(gs, t_period, j)
-    nu_star = Degree.from_spectral(sf, lam)
-    fam = _family(sf)
-    mu = ctx.mu
+    if np.ndim(t_period) == 0:
+        return _sigma_closed_one(gs, sf, t_period, j)
+    periods = np.asarray(t_period, dtype=float).tolist()
+    lams = [shifted_lambda(gs, t, j) for t in periods]
+    return np.array(
+        [
+            _sigma_closed_one(gs, sf, t, j) if math.isnan(value) else value
+            for t, value in zip(periods, _sigma_closed_many(gs, sf, lams).tolist())
+        ]
+    )
+
+
+def _c1p_plus_ddphi(gs, sf, ctx, den, up):
+    """The case table from P^m_nu*(x1) (den) and P^(m+1)_nu*(x1) (up), floats
+    or ndarrays alike."""
     if ctx.integer_order:
-        den = fam(mu, nu_star, ctx.x1)
-        if den == 0.0:
-            raise DegeneracyError(
-                f"representation denominator vanished at T={t_period}, j={j}"
-            )
-        num = ctx.f_up_nu * fam(mu + 1.0, nu_star, ctx.x1)
         lead = sf.k if sf.k < 0 else -sf.k
-        c1p = lead * ctx.s_rep * ctx.s1_pow * num / den
+        c1p = lead * ctx.s_rep * ctx.s1_pow * (ctx.f_up_nu * up) / den
     else:
-        den = fam(-mu, nu_star, ctx.x1)
-        if den == 0.0:
-            raise DegeneracyError(
-                f"representation denominator vanished at T={t_period}, j={j}"
-            )
         a_const = -ctx.s_rep * ctx.sqrt_abs_k * ctx.f_up_nu / den
         c1p = a_const * (
-            ctx.sqrt_abs_k * ctx.s1_pow * fam(-mu + 1.0, nu_star, ctx.x1)
-            - 2.0 * mu * ctx.x1 * ctx.s1_pow_n2 * den
+            ctx.sqrt_abs_k * ctx.s1_pow * up
+            - 2.0 * ctx.mu * ctx.x1 * ctx.s1_pow_n2 * den
         )
     return c1p + gs.ddphi1
+
+
+def _sigma_closed_one(gs: GroundState, sf: SpaceForm, t_period: float, j: int) -> float:
+    ctx = _closed_form_context(gs, sf)
+    nu_star = Degree.from_spectral(sf, shifted_lambda(gs, t_period, j))
+    fam = _family(sf)
+    den = fam(ctx.m0, nu_star, ctx.x1)
+    if den == 0.0:
+        raise DegeneracyError(
+            f"representation denominator vanished at T={t_period}, j={j}"
+        )
+    return _c1p_plus_ddphi(gs, sf, ctx, den, fam(ctx.m0 + 1.0, nu_star, ctx.x1))
+
+
+def _sigma_closed_many(gs: GroundState, sf: SpaceForm, lams: list[float]) -> np.ndarray:
+    """sigma_closed per shifted parameter, one series summation per order.
+
+    NaN marks a member that is left to the scalar path: a failed series or a
+    vanishing denominator.  The raised order is summed only for the members
+    whose denominator is usable, as the scalar path would.
+    """
+    ctx = _closed_form_context(gs, sf)
+    nus = [Degree.from_spectral(sf, lam).value for lam in lams]
+    den = _first_kind_many(ctx.m0, nus, ctx.x1)
+    usable = np.flatnonzero(~np.isnan(den) & (den != 0.0))
+    up = np.full(len(nus), np.nan)
+    up[usable] = _first_kind_many(ctx.m0 + 1.0, [nus[i] for i in usable.tolist()], ctx.x1)
+    with np.errstate(all="ignore"):
+        return _c1p_plus_ddphi(gs, sf, ctx, den, up)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +361,12 @@ class DispersionCurve:
             fh.write(self.csv_text())
 
 
-def _scan_point(gs, sf, t_period, j, lam, boundary) -> tuple[DispersionSample, ...]:
+def _scan_point(gs, sf, t_period, j, lam, boundary, closed_value) -> tuple[DispersionSample, ...]:
     """Both routes at one T, each failure recorded in its own sample.
 
     boundary is (w(1), w'(1)) from the batched solve, or None to solve this
-    member on its own.
+    member on its own; closed_value is the batched closed form, or NaN to
+    evaluate this member on its own.
     """
     nu_star = complex(Degree.from_spectral(sf, lam))
     ode = DispersionSample(t_period, j, math.nan, ROUTE_ODE, nu_star)
@@ -338,7 +377,9 @@ def _scan_point(gs, sf, t_period, j, lam, boundary) -> tuple[DispersionSample, .
     except Exception as exc:  # recorded in-line, scan continues
         ode.error = str(exc)
     try:
-        closed.sigma = sigma_closed(gs, sf, t_period, j)
+        closed.sigma = (
+            sigma_closed(gs, sf, t_period, j) if math.isnan(closed_value) else closed_value
+        )
     except Exception as exc:
         closed.error = str(exc)
     return ode, closed
@@ -358,7 +399,10 @@ def scan(
     probe the degenerate T -> infinity regime.  The ODE route of the whole
     grid is one batched radial solve; if that solve fails (a member whose
     solution overflows fails the batch), each member is solved on its own so
-    a failure stays with its sample.  Samples come in increasing T order.
+    a failure stays with its sample.  The closed-form route of the whole grid
+    is one series summation per order; a member it could not evaluate is
+    evaluated on its own, so its error too stays with its sample.  Samples
+    come in increasing T order.
     """
     if not 0.0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
@@ -372,7 +416,11 @@ def scan(
     grid[0], grid[-1] = t_lo, t_hi  # exact endpoints
     periods = grid.tolist()
     lams = [shifted_lambda(gs, t, j) for t in periods]
+    try:
+        closed = _sigma_closed_many(gs, sf, lams).tolist()
+    except Exception:  # the closed-form context failed: each row records it
+        closed = [math.nan] * len(lams)
     curve = DispersionCurve(n=sf.n, k=sf.k, j=j)
-    for t_period, lam, wb in zip(periods, lams, _shoot_batch(sf, lams)):
-        curve.samples.extend(_scan_point(gs, sf, t_period, j, lam, wb))
+    for t_period, lam, wb, cf in zip(periods, lams, _shoot_batch(sf, lams), closed):
+        curve.samples.extend(_scan_point(gs, sf, t_period, j, lam, wb, cf))
     return curve

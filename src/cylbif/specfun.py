@@ -27,6 +27,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, GammaPoleError
 from .geometry import SpaceForm
 
@@ -148,22 +150,42 @@ def _degree_beta(nu: complex) -> float:
     return -(nu.imag**2)
 
 
-def _hyp_real(h: float, beta: float, c: float, z: float) -> float:
+def _first_index(c: float) -> int:
+    """Index of the first series term: 1 - c at a non-positive integer c, whose
+    Gamma-pole terms vanish, else 0."""
+    return int(round(1.0 - c)) if c <= 0.0 and c == round(c) else 0
+
+
+def _first_term(h: float, beta: float, c: float, z: float, s0: int) -> float:
+    """The series term t_(s0) of _hyp_real."""
+    if s0 == 0:
+        return 1.0 / math.gamma(c)
+    term = 1.0
+    for i in range(s0):
+        term *= (i + h) ** 2 - beta
+    return term * (z**s0 / math.factorial(s0))
+
+
+def _hyp_real(h, beta, c: float, z):
     """sum_s t_s with t_(s+1)/t_s = ((s+h)^2 - beta) z / ((c+s)(s+1)), real c, z.
 
     This is F_olver(a, b; c; z) for any a, b with (a+s)(b+s) = (s+h)^2 - beta,
     started at t_0 = 1/Gamma(c); at a non-positive integer c the Gamma-pole
     terms vanish and summation starts at s = 1 - c.
+
+    Any of h, beta and z may be an ndarray, the three broadcast together
+    (c stays scalar): the members are then summed side by side, each with
+    the float operations and the stopping rule of the scalar loop, so each
+    is bit-equal to its scalar sum; a member that reaches the term cap is
+    NaN instead of raising.  The scalar loop stays for float arguments,
+    since one member costs ~50x more through the array loop.
     """
-    if c <= 0.0 and c == round(c):
-        s0 = int(round(1.0 - c))
-        term = 1.0
-        for i in range(s0):
-            term *= (i + h) ** 2 - beta
-        term *= z**s0 / math.factorial(s0)
-    else:
-        s0 = 0
-        term = 1.0 / math.gamma(c)
+    # isinstance, not np.ndim: np.ndim of a float costs ~1-2 us, a third of
+    # a short scalar series
+    if isinstance(beta, np.ndarray) or isinstance(h, np.ndarray) or isinstance(z, np.ndarray):
+        return _hyp_real_array(h, beta, c, z)
+    s0 = _first_index(c)
+    term = _first_term(h, beta, c, z, s0)
     total = term
     largest = abs(total)
     quiet = 0
@@ -185,6 +207,51 @@ def _hyp_real(h: float, beta: float, c: float, z: float) -> float:
         f"hypergeometric series did not converge within {_MAX_TERMS} terms",
         residual=abs(term) / largest if largest > 0 else math.inf,
     )
+
+
+def _hyp_real_array(h, beta, c: float, z) -> np.ndarray:
+    """_hyp_real over broadcast ndarrays: numpy across the members, the loop
+    over s sequential.  A member leaves the active set, its total frozen, at
+    the step where the scalar loop would return."""
+    parts = [np.asarray(a, dtype=float) for a in (h, beta, z)]
+    shape = np.broadcast_shapes(*(a.shape for a in parts))
+    members = [np.broadcast_to(a, shape).ravel() for a in parts]
+    s0 = _first_index(c)
+    term = np.array(
+        [
+            _first_term(hi, bi, c, zi, s0)
+            for hi, bi, zi in zip(*(m.tolist() for m in members))
+        ]
+    )
+    # scalar inputs stay floats in the loop: fewer array operations per term
+    h, beta, z = (m if a.ndim else float(a) for a, m in zip(parts, members))
+    out = np.full(term.size, np.nan)
+    index = np.arange(term.size)
+    total = term.copy()
+    largest = np.abs(total)
+    quiet = np.zeros(term.size, dtype=int)
+    with np.errstate(all="ignore"):  # the scalar loop overflows silently too
+        for s in range(s0, _MAX_TERMS):
+            if not index.size:
+                break
+            q = s + h
+            term *= (q * q - beta) * z
+            term /= (c + s) * (s + 1.0)
+            total += term
+            # unlike the scalar max, a NaN total makes largest NaN; the
+            # member ends NaN under either rule, since its total stays NaN
+            np.maximum(largest, np.abs(total), out=largest)
+            quiet += 1
+            quiet *= np.abs(term) <= _TERM_CUTOFF * largest
+            stop = quiet >= _QUIET_TERMS
+            if stop.any():
+                out[index[stop]] = total[stop]
+                live = ~stop
+                index, term, total, largest, quiet = (
+                    a[live] for a in (index, term, total, largest, quiet)
+                )
+                h, beta, z = (a[live] if np.ndim(a) else a for a in (h, beta, z))
+    return out.reshape(shape)
 
 
 def _hyp_degree(nu: complex, c: float, w: float) -> float:
@@ -278,8 +345,9 @@ def legendre_p(m: float, nu, x: float) -> float:
     """Associated Legendre function of the first kind, P^m_nu(x) on x > 1.
 
     Any real order m (DLMF notation P with order -mu and mu replaced by -m).
-    Conical degrees are supported on the direct-series region x < ~2.5; the
-    larger-x Pfaff path requires a real degree.
+    Real degrees take the direct series up to x = 2.5 and the Pfaff form
+    beyond it; conical degrees take the direct series on its whole disk,
+    x < 3, and are refused from x = 3 on.
     """
     nu = _coerce_degree(nu)
     if not x > 1.0:
@@ -306,6 +374,43 @@ def ferrers_p(m: float, nu, x: float) -> float:
         raise ValueError(f"argument must satisfy -1 < x < 1, got x={x}")
     prefactor = ((1.0 + x) / (1.0 - x)) ** (m / 2.0)
     return prefactor * _hyp_degree(nu, 1.0 - m, (1.0 - x) / 2.0)
+
+
+def _first_kind_many(m: float, nus: list[complex], x: float) -> np.ndarray:
+    """legendre_p (x > 1) or ferrers_p (-1 < x < 1) of order m at one x for a
+    list of degrees, in one _hyp_real call, each member bit-equal to the scalar
+    function.  A member the scalar function refuses (a conical degree at
+    x >= 3) or fails on (the term cap) is NaN.
+    """
+    c = 1.0 - m
+    w = (1.0 - x) / 2.0
+    if x < 1.0:
+        prefactor = ((1.0 + x) / (1.0 - x)) ** (m / 2.0)
+    else:
+        prefactor = ((x - 1.0) / (x + 1.0)) ** (-m / 2.0)
+    if x <= _PFAFF_SWITCH:
+        return prefactor * _hyp_real(0.5, np.array([_degree_beta(nu) for nu in nus]), c, w)
+    # real degrees take the Pfaff form, conical ones the direct series (x < 3)
+    y = (x - 1.0) / (x + 1.0)
+    pfaff_beta = ((1.0 - c) / 2.0) ** 2
+    out = np.full(len(nus), np.nan)
+    summed, h, beta, z, scale = [], [], [], [], []
+    for i, nu in enumerate(nus):
+        if nu.imag == 0.0:
+            summed.append(i)
+            h.append(nu.real + (1.0 + c) / 2.0)
+            beta.append(pfaff_beta)
+            z.append(y)
+            scale.append(((x + 1.0) / 2.0) ** (-(nu.real + 1.0)))
+        elif x < 3.0:
+            summed.append(i)
+            h.append(0.5)
+            beta.append(_degree_beta(nu))
+            z.append(w)
+            scale.append(1.0)
+    total = _hyp_real(np.array(h), np.array(beta), c, np.array(z))
+    out[summed] = prefactor * (np.array(scale) * total)
+    return out
 
 
 def legendre_q(mu: float, nu: float, x: float) -> float:

@@ -85,17 +85,21 @@ class TestKernelModes:
     def test_synthetic_two_mode_kernel(self):
         # zeros of sigma at T = 3 and T = 1.5 -> modes {1, 2} at T_star = 3
         producer = lambda t: (t - 3.0) * (t - 1.5)
-        modes = kernel_modes(producer, 3.0, j_max=8)
+        modes, probes = kernel_modes(producer, 3.0, j_max=8)
         assert modes == [1, 2]
+        # the probe values come back in order j = 2..j_max
+        assert probes == [producer(3.0 / j) for j in range(2, 9)]
 
     def test_generic_single_mode(self):
         producer = lambda t: 3.0 - t
-        assert kernel_modes(producer, 3.0, j_max=16) == [1]
+        modes, probes = kernel_modes(producer, 3.0, j_max=16)
+        assert modes == [1]
+        assert len(probes) == 15 and probes[-1] == producer(3.0 / 16)
 
     def test_tight_producer_can_veto(self):
         producer = lambda t: (t - 3.0) * (t - 1.5)
         # a tight re-evaluation that contradicts the candidate drops it
-        modes = kernel_modes(
+        modes, _ = kernel_modes(
             producer, 3.0, j_max=8, tight_producer=lambda t: 1.0 if t != 3.0 else 0.0
         )
         assert modes == [1]
@@ -151,6 +155,19 @@ class TestRealPipeline:
         assert 1 in rep.kernel_modes
         assert rep.parity[1] == PARITY_CHANGES
         assert rep.sigma_at_j_max > 0.0
+
+    def test_sigma_at_j_max_from_the_kernel_probes(self, ground_states, bifurcation_reports):
+        # the last kernel probe is T_star/j_max; without probes (j_max = 1)
+        # the value comes from its own solve
+        gs = ground_states[(2, 1.0)]
+        sf = SpaceForm(2, 1.0)
+        rep = bifurcation_reports[(2, 1.0)]
+        probes = sigma_reduced(gs, sf, rep.t_star / np.arange(2, rep.j_max + 1))
+        assert rep.sigma_at_j_max == probes[-1]
+        scalar = sigma_reduced(gs, sf, rep.t_star / rep.j_max)
+        assert rep.sigma_at_j_max == pytest.approx(scalar, rel=1e-12)
+        single = run_bifurcation(gs, sf, j_max=1)
+        assert single.sigma_at_j_max == sigma_reduced(gs, sf, single.t_star)
 
     def test_report_json_round_trip(self, bifurcation_reports):
         payload = bifurcation_reports[(3, -1.0)].to_dict()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -315,3 +316,74 @@ class TestGeneralCurvature:
 
         with pytest.raises(ValueError, match="series disk"):
             legendre_p(0.0, complex(-0.5, 2.0), 3.5)
+
+
+class TestBatchedClosedForm:
+    """sigma_closed over an ndarray of periods: one series summation per
+    order over all members, bit-equal to the scalar evaluation of each."""
+
+    @pytest.mark.parametrize(
+        "n,k,j",
+        [
+            (2, 1.0, 1), (2, -1.0, 1), (3, 1.0, 1), (3, -1.0, 1),
+            (2, 8.9, 2), (3, 8.85, 1), (7, 8.5, 1),  # near pi^2: long Ferrers series
+            (4, -2.4, 2), (2, -2.9, 1),  # beyond x = 2.5: Pfaff and conical members
+            (3, -0.1, 3),  # per-member prefactors must stay Python floats
+            (9, 2.0, 1),
+        ],
+    )
+    def test_bit_equal_to_scalar(self, ground_states, n, k, j):
+        from cylbif.spectral import ground_state
+
+        sf = SpaceForm(n, k)
+        gs = ground_states.get((n, k)) or ground_state(sf)
+        periods = np.geomspace(0.5, 50.0, 96)
+        batched = sigma_closed(gs, sf, periods, j)
+        assert batched.shape == periods.shape
+        for t_period, value in zip(periods.tolist(), batched.tolist()):
+            assert value == sigma_closed(gs, sf, t_period, j)
+
+    @pytest.mark.parametrize("n,k", [(2, -4.0), (3, 9.5), (3, 9.18)])
+    def test_failing_member_raises_its_own_error(self, n, k):
+        # (2, -4): the ground-state degree is conical at C_k(1) = cosh 2 > 3;
+        # (3, 9.5): its Ferrers series reaches the term cap; (3, 9.18): the
+        # ground state passes, and some members reach the term cap
+        from cylbif.spectral import ground_state
+
+        sf = SpaceForm(n, k)
+        gs = ground_state(sf)
+        periods = np.geomspace(50.0, 0.1, 12)
+        with pytest.raises(Exception) as per_point:
+            for t_period in periods.tolist():
+                sigma_closed(gs, sf, t_period)
+        with pytest.raises(type(per_point.value)) as batched:
+            sigma_closed(gs, sf, periods)
+        assert str(batched.value) == str(per_point.value)
+
+
+@pytest.mark.parametrize(
+    "n,k,t_lo", [(3, 9.5, 0.5), (2, 9.5, 0.5), (2, -4.0, 0.5), (3, 9.18, 0.1)]
+)
+def test_scan_failing_rows_keep_their_errors(n, k, t_lo):
+    # rows the batched closed form cannot evaluate are evaluated on their own,
+    # so the CSV and each row's error equal those of per-point sigma_closed;
+    # the first three fail at the ground state's degree, so every row fails,
+    # (3, 9.18) fails only where nu* reaches the term cap
+    from cylbif.spectral import ground_state
+
+    sf = SpaceForm(n, k)
+    gs = ground_state(sf)
+    curve = scan(gs, sf, t_lo, 50.0, 24)
+    expected = DispersionCurve(n=sf.n, k=sf.k, j=1)
+    for sample in curve.samples:
+        if sample.route == "closed_form":
+            sample = dataclasses.replace(sample, sigma=math.nan, error=None)
+            try:
+                sample.sigma = sigma_closed(gs, sf, sample.t_period)
+            except Exception as exc:
+                sample.error = str(exc)
+        expected.samples.append(sample)
+    assert [s.error for s in curve.samples] == [s.error for s in expected.samples]
+    assert any(s.error for s in curve.samples)
+    assert curve.csv_text() == expected.csv_text()
+

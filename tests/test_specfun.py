@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -482,3 +483,75 @@ class TestAsymptoticForms:
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             asymptotic_form("no-such-form", 0.0, 1.0, 1.5)
+
+
+class TestArrayKernel:
+    """The array form of the real series kernel against its scalar loop,
+    member by member and bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(h, beta, c, z):
+        """Each member equals its scalar sum; NaN where the scalar loop raises."""
+        from cylbif.errors import ConvergenceError
+        from cylbif.specfun import _hyp_real
+
+        got = _hyp_real(h, beta, c, z)
+        members = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (h, beta, z)))
+        assert got.shape == members[0].shape
+        scalars = zip(*(m.ravel().tolist() for m in members))
+        for value, (hi, bi, zi) in zip(got.ravel().tolist(), scalars):
+            try:
+                assert value == _hyp_real(hi, bi, c, zi)
+            except ConvergenceError:
+                assert math.isnan(value)
+        return got
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, -2.0])
+    def test_gamma_pole_start(self, c):
+        betas = np.array([0.04, 1.7, 6.25, 20.0])
+        self.assert_bit_equal(0.5, betas, c, np.array([-0.4, 0.3, 0.55, -0.8]))
+
+    def test_conical_beta(self):
+        # beta = -tau^2 for nu = -1/2 + i tau: exactly real coefficients
+        taus = np.array([0.3, 2.0, 6.0, 12.5])
+        self.assert_bit_equal(0.5, -(taus**2), 1.5, np.array([[0.2], [-0.7], [0.93]]))
+
+    def test_terminating_series(self):
+        # beta = (s + 1/2)^2 zeroes the ratio at s: a polynomial of degree s + 1
+        got = self.assert_bit_equal(0.5, np.array([3.5**2, 0.3, 7.5**2]), 1.0, 0.4)
+        assert all(math.isfinite(v) for v in got.tolist())
+
+    def test_degree_and_pfaff_members_mixed(self):
+        # one batch as legendre_p builds it beyond x = 2.5: real degrees in the
+        # Pfaff form, conical degrees in the degree form
+        x, c = 2.8, 0.5
+        y, w = (x - 1.0) / (x + 1.0), (1.0 - x) / 2.0
+        h = np.array([1.3 + (1.0 + c) / 2.0, 0.5, 4.0 + (1.0 + c) / 2.0, 0.5])
+        beta = np.array([((1.0 - c) / 2.0) ** 2, -4.0, ((1.0 - c) / 2.0) ** 2, -0.49])
+        self.assert_bit_equal(h, beta, c, np.array([y, w, y, w]))
+
+    def test_term_cap_gives_nan_and_spares_neighbours(self):
+        from cylbif.errors import ConvergenceError
+        from cylbif.specfun import _hyp_real
+
+        z = np.array([0.3, 0.9999, -0.5])
+        got = self.assert_bit_equal(0.5, 2.0, 1.0, z)
+        assert math.isnan(got[1]) and math.isfinite(got[0]) and math.isfinite(got[2])
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            _hyp_real(0.5, 2.0, 1.0, 0.9999)
+
+    @pytest.mark.parametrize("x", [-0.98, 0.3, 1.6, 2.7, 3.5])
+    def test_first_kind_batch_matches_scalar_functions(self, x):
+        from cylbif.specfun import _first_kind_many
+
+        fam = legendre_p if x > 1.0 else ferrers_p
+        nus = [complex(-0.5, 3.0), complex(0.4, 0.0), complex(-0.5, 0.2), complex(6.1, 0.0)]
+        for m in (0.0, 1.0, -0.5, 0.5, 2.0):
+            got = _first_kind_many(m, nus, x).tolist()
+            for value, nu in zip(got, nus):
+                try:
+                    expected = fam(m, nu, x)
+                except ValueError:  # a conical degree beyond the series disk
+                    assert x >= 3.0 and nu.imag != 0.0 and math.isnan(value)
+                else:
+                    assert value == expected
