@@ -8,9 +8,9 @@ The pipeline computes, for a space form of dimension n and curvature k:
 * the dispersion relation sigma_j(T) of the linearized boundary operator on
   the Fourier mode cos(2*pi*j*t/T), by two independent routes (a radial ODE
   solve and closed-form Legendre/Ferrers expressions),
-* the smallest sign-changing zero T_star of sigma, the kernel modes of the
-  linearized operator at T_star, crossing parity, and first-order periodic
-  domain profiles,
+* the zero T_star of sigma, unique because sigma is strictly decreasing in
+  T, with the kernel {1} and the sign-changing crossing that this shape
+  certifies, and first-order periodic domain profiles,
 * independent finite-difference cross-checks for every headline quantity.
 """
 
@@ -35,9 +35,6 @@ from .bifurcation import (
     DomainProfile,
     SigmaZero,
     find_sigma_zeros,
-    select_t_star,
-    kernel_modes,
-    crossing_parity,
     domain_profile,
     run_bifurcation,
 )
@@ -77,9 +74,6 @@ __all__ = [
     "DomainProfile",
     "SigmaZero",
     "find_sigma_zeros",
-    "select_t_star",
-    "kernel_modes",
-    "crossing_parity",
     "domain_profile",
     "run_bifurcation",
     "ConvergenceError",

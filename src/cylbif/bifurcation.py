@@ -1,11 +1,24 @@
-"""Zeros of the dispersion relation, T_star selection, kernel and profiles.
+"""T_star, kernel and parity from the proven shape of sigma, and profiles.
 
-sigma is positive for small T and negative for large T, so it has at least
-one sign-changing zero; T_star is the smallest such zero.  The kernel of the
-linearized operator at T_star collects every mode j with sigma(T_star/j) = 0
-(mode j sees the fundamental curve at period T/j).  Zeros where sigma merely
-touches 0 cannot be certified numerically; they are reported as suspected
-tangential and never influence T_star.
+sigma_j(T) = -phi'(1) g(Lam_j), with -phi'(1) > 0, Lam_j = lambda1 -
+(2 pi j / T)^2 and the reduced curve g(Lam) = w'(1)/w(1) + (n-1) C_k(1)/S_k(1)
+of the regular solution w at Lam.  For Lam < lambda1, w has no zero on
+(0, 1], and the Green identity gives
+
+    dg/dLam = -int_0^1 S_k^(n-1) w^2 dr / (S_k(1)^(n-1) w(1)^2) < 0.
+
+Lam_1(T) grows with T, so sigma is strictly decreasing on (0, infinity),
+from +infinity at 0+ to -infinity at infinity (Schlenk & Sicbaldi, Adv.
+Math. 229, 2012).  Hence:
+
+* sigma has exactly one zero T_star, and it changes sign there;
+* sigma(T_star / j) > 0 for every j >= 2, so the kernel of the linearized
+  operator at T_star (the modes j with sigma(T_star / j) = 0) is {1}.
+
+find_sigma_zeros brackets the one zero on a grid, checks the grid for
+strict decrease and refines the single sign-change cell.  run_bifurcation
+takes the kernel and parity as certificates and spot-checks them at
+T_star / 2 and T_star / j_max.
 """
 
 import math
@@ -16,20 +29,16 @@ import numpy as np
 
 from .dispersion import sigma_reduced
 from .errors import NumericalError
-from .geometry import SpaceForm, radial_drift
+from .geometry import SpaceForm
 from .spectral import GroundState, bracketed_root
 
 WIDEN_LO = 1e-3
 WIDEN_HI = 1e4
-INITIAL_POINTS = 512
+INITIAL_POINTS = 16
 ZERO_WIDTH_REL = 1e-11
-TANGENTIAL_TOL = 1e-8
-KERNEL_TOL = 1e-8
 J_MAX_DEFAULT = 64
 
 PARITY_CHANGES = "changes"
-PARITY_DOES_NOT_CHANGE = "does_not_change"
-PARITY_INDETERMINATE = "indeterminate"
 
 
 @dataclass
@@ -39,7 +48,6 @@ class SigmaZero:
     t0: float
     sign_change: bool
     width: float
-    sigma_min: float | None = None  # |sigma| at a suspected tangential zero
 
 
 def _refine_zero(producer, a, b, fa, fb) -> SigmaZero:
@@ -52,157 +60,61 @@ def _refine_zero(producer, a, b, fa, fb) -> SigmaZero:
     return SigmaZero(t0=0.5 * (a + b), sign_change=True, width=b - a)
 
 
-def _golden_min_abs(producer, a, b, rel=1e-9) -> tuple[float, float]:
-    """Golden-section minimum of |producer| on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = abs(producer(x1)), abs(producer(x2))
-    while (b - a) > rel * 0.5 * (a + b):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = abs(producer(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = abs(producer(x2))
-    xm = 0.5 * (a + b)
-    return xm, abs(producer(xm))
-
-
 def find_sigma_zeros(
     producer: Callable[[float | np.ndarray], float | np.ndarray],
     t_lo: float,
     t_hi: float,
     initial_points: int = INITIAL_POINTS,
 ) -> list[SigmaZero]:
-    """All sign-change zeros of producer on a widened window, plus suspects.
+    """The zero of a strictly decreasing producer, as a one-element list.
 
-    The window is auto-widened (down to WIDEN_LO, up to WIDEN_HI) until
-    producer(t_lo) > 0 > producer(t_hi); failure to achieve that raises,
-    since the limits at 0+ and +infinity force a sign change.  Sign-change
-    brackets on a log grid are shrunk by spectral.bracketed_root (safeguarded
-    Illinois regula falsi) to width at most ZERO_WIDTH_REL * T0, so width is
-    a certified bracket.  Local minima of |sigma| that refine to essentially
-    zero without a sign flip are reported as suspected tangential.
-
-    producer is called once with the whole grid as an ndarray and must return
-    the values elementwise; every other call (widening, bracket refinement,
-    tangential search) passes a float.  Grid values pick bracket signs and
-    candidate minima, and seed the first regula falsi step of each bracket.
+    producer is called once with a log grid of initial_points periods on
+    [t_lo, t_hi] as an ndarray and must return the values elementwise; every
+    other call passes a float.  If the grid's ends do not bracket the zero,
+    the window is widened from the end on the wrong side by halving (down to
+    WIDEN_LO) or doubling (up to WIDEN_HI) until the sign flips; failure
+    raises, since the limits at 0+ and +infinity force a sign change.  Grid
+    values that are not strictly decreasing raise, naming the first T where
+    the decrease fails.  The one sign-change cell is shrunk by
+    spectral.bracketed_root (safeguarded Illinois regula falsi) to width at
+    most ZERO_WIDTH_REL * T0, so width is a certified bracket.
     """
     if not 0.0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
-    lo, hi = t_lo, t_hi
-    f_lo = producer(lo)
-    while f_lo <= 0.0:
-        if lo <= WIDEN_LO:
+    grid = np.geomspace(t_lo, t_hi, initial_points)
+    vals = np.full(grid.shape, producer(grid), dtype=float)
+    t, v = grid.tolist(), vals.tolist()
+    a, fa, b, fb = t[0], v[0], t[-1], v[-1]
+    while fa <= 0.0:
+        if a <= WIDEN_LO:
             raise NumericalError(
                 f"sigma not positive anywhere down to T={WIDEN_LO}; "
                 "contradicts the small-T limit"
             )
-        lo = max(lo / 2.0, WIDEN_LO)
-        f_lo = producer(lo)
-    f_hi = producer(hi)
-    while f_hi >= 0.0:
-        if hi >= WIDEN_HI:
+        b, fb = a, fa
+        a = max(a / 2.0, WIDEN_LO)
+        fa = producer(a)
+    while fb > 0.0:
+        if b >= WIDEN_HI:
             raise NumericalError(
                 f"sigma not negative anywhere up to T={WIDEN_HI}; "
                 "contradicts the large-T limit"
             )
-        hi = min(hi * 2.0, WIDEN_HI)
-        f_hi = producer(hi)
-
-    grid = np.geomspace(lo, hi, initial_points)
-    vals = np.asarray(producer(grid), dtype=float)
-
-    zeros: list[SigmaZero] = []
-    bracket_cells = set()
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            continue  # handled as an exact hit below
-        if vals[i] * vals[i + 1] < 0.0:
-            bracket_cells.add(i)
-            zeros.append(
-                _refine_zero(
-                    producer, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1]
-                )
-            )
-    for i in range(1, len(grid) - 1):
-        if vals[i] == 0.0:
-            flips = vals[i - 1] * vals[i + 1] < 0.0
-            zeros.append(
-                SigmaZero(
-                    t0=float(grid[i]),
-                    sign_change=bool(flips),
-                    width=0.0,
-                    sigma_min=None if flips else 0.0,
-                )
-            )
-
-    # suspected tangential zeros: interior |sigma| minima with no sign flip
-    for i in range(1, len(grid) - 1):
-        if i in bracket_cells or (i - 1) in bracket_cells or vals[i] == 0.0:
-            continue
-        if abs(vals[i]) < abs(vals[i - 1]) and abs(vals[i]) < abs(vals[i + 1]):
-            t_min, f_min = _golden_min_abs(producer, float(grid[i - 1]), float(grid[i + 1]))
-            local_scale = max(abs(vals[i - 1]), abs(vals[i + 1]))
-            if f_min < TANGENTIAL_TOL * (1.0 + local_scale):
-                zeros.append(
-                    SigmaZero(t0=t_min, sign_change=False, width=0.0, sigma_min=f_min)
-                )
-
-    zeros.sort(key=lambda z: z.t0)
-    return zeros
-
-
-def select_t_star(zeros: list[SigmaZero]) -> float:
-    """Smallest zero at which sigma changes sign."""
-    changing = [z.t0 for z in zeros if z.sign_change]
-    if not changing:
-        raise ValueError("no sign-changing zero supplied")
-    return min(changing)
-
-
-def kernel_modes(
-    producer: Callable[[float | np.ndarray], float | np.ndarray],
-    t_star: float,
-    j_max: int = J_MAX_DEFAULT,
-    scale: float = 1.0,
-    tight_producer: Callable[[float], float] | None = None,
-) -> tuple[list[int], list[float]]:
-    """Modes j in 1..j_max with sigma(t_star / j) = 0 within KERNEL_TOL * scale,
-    and the probe values sigma(t_star / j), j = 2..j_max.
-
-    j = 1 is a member by construction.  Any extra candidate is re-evaluated
-    with the tightened producer (when given) before being admitted.
-
-    producer is called once with the ndarray t_star / [2, ..., j_max] and
-    must return the values elementwise; tight_producer gets a float per
-    candidate.
-    """
-    modes = [1]
-    probes = np.asarray(producer(t_star / np.arange(2, j_max + 1)), dtype=float).tolist()
-    for j, value in enumerate(probes, start=2):
-        if abs(value) < KERNEL_TOL * scale:
-            if tight_producer is not None:
-                if abs(tight_producer(t_star / j)) >= 10.0 * KERNEL_TOL * scale:
-                    continue
-            modes.append(j)
-    return modes, probes
-
-
-def crossing_parity(producer: Callable[[float], float], t_star: float, j: int = 1) -> str:
-    """Whether sigma_j changes sign across T_star, probed at two step sizes."""
-    flips = []
-    for h in (1e-4, 1e-5):
-        lo = producer(t_star * (1.0 - h) / j)
-        hi = producer(t_star * (1.0 + h) / j)
-        flips.append((lo > 0.0) != (hi > 0.0))
-    if flips[0] != flips[1]:
-        return PARITY_INDETERMINATE
-    return PARITY_CHANGES if flips[0] else PARITY_DOES_NOT_CHANGE
+        a, fa = b, fb
+        b = min(b * 2.0, WIDEN_HI)
+        fb = producer(b)
+    rising = np.flatnonzero(~(np.diff(vals) < 0.0))
+    if rising.size:
+        i = int(rising[0]) + 1
+        raise NumericalError(
+            f"sigma not strictly decreasing at T={t[i]!r} "
+            f"({v[i - 1]!r} at T={t[i - 1]!r}, then {v[i]!r}); "
+            "contradicts the monotonicity of sigma"
+        )
+    if (a, b) == (t[0], t[-1]):  # not widened: the grid's sign-change cell
+        i = int(np.count_nonzero(vals > 0.0))  # v[:i] > 0 >= v[i:]
+        a, fa, b, fb = t[i - 1], v[i - 1], t[i], v[i]
+    return [_refine_zero(producer, a, b, fa, fb)]
 
 
 @dataclass
@@ -249,7 +161,7 @@ def domain_profile(
 
 @dataclass
 class BifurcationReport:
-    """Zeros of sigma, the selected T_star, kernel structure, parity flags."""
+    """The zero of sigma at T_star, with its kernel and parity certificates."""
 
     n: int
     k: float
@@ -272,7 +184,6 @@ class BifurcationReport:
                     "T0": z.t0,
                     "sign_change": z.sign_change,
                     "width": z.width,
-                    **({"sigma_min": z.sigma_min} if z.sigma_min is not None else {}),
                 }
                 for z in self.zeros
             ],
@@ -292,8 +203,10 @@ def run_bifurcation(
 ) -> BifurcationReport:
     """Full bifurcation pipeline on the reduced (normalization-free) curve.
 
-    Roots are located on sigma_reduced, whose zeros coincide with sigma's;
-    the kernel tolerance is scaled by the natural size of the reduced curve.
+    The zero is located on sigma_reduced, which shares sigma's zeros and
+    sign.  Kernel [1] and a sign-changing crossing follow from the strict
+    decrease of sigma; one batched solve spot-checks sigma(T_star / j) > 0
+    at j = 2 and j = j_max, and raises if either is not positive.
     """
     if j_max < 1:
         raise ValueError(f"largest kernel mode must satisfy j_max >= 1, got j_max={j_max}")
@@ -301,26 +214,26 @@ def run_bifurcation(
     def producer(t_period: float | np.ndarray) -> float | np.ndarray:
         return sigma_reduced(gs, sf, t_period, 1)
 
-    def tight_producer(t_period: float) -> float:
-        return sigma_reduced(gs, sf, t_period, 1, rtol=1e-13, atol=1e-15)
-
     zeros = find_sigma_zeros(producer, t_lo, t_hi)
-    t_star = select_t_star(zeros)
-    scale = 1.0 + radial_drift(sf, 1.0)
-    modes, probes = kernel_modes(
-        producer, t_star, j_max=j_max, scale=scale, tight_producer=tight_producer
-    )
-    parity = {j: crossing_parity(producer, t_star, j) for j in modes}
-    # the last kernel probe is sigma(t_star / j_max); j_max = 1 has no probes
-    sigma_at_j_max = probes[-1] if probes else producer(t_star)
+    t_star = zeros[0].t0
+    if j_max == 1:
+        sigma_at_j_max = producer(t_star)
+    else:
+        spot = producer(t_star / np.array([2.0, j_max]))
+        if not np.all(spot > 0.0):
+            raise NumericalError(
+                f"sigma(T_star/j) = {spot.tolist()} at j = 2, {j_max} is not positive; "
+                f"contradicts the monotonicity of sigma (T_star={t_star!r})"
+            )
+        sigma_at_j_max = float(spot[-1])
     return BifurcationReport(
         n=sf.n,
         k=sf.k,
         lambda1=gs.lambda1,
         t_star=t_star,
         zeros=zeros,
-        kernel_modes=modes,
-        parity=parity,
+        kernel_modes=[1],
+        parity={1: PARITY_CHANGES},
         sigma_at_j_max=sigma_at_j_max,
         j_max=j_max,
     )

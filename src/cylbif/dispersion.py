@@ -65,8 +65,6 @@ def sigma_reduced(
     sf: SpaceForm,
     t_period: float | np.ndarray,
     j: int = 1,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
 ) -> float | np.ndarray:
     """Normalization-free form w'(1)/w(1) + (n-1) C_k(1)/S_k(1).
 
@@ -77,26 +75,26 @@ def sigma_reduced(
     """
     if np.ndim(t_period) == 0:
         lam = shifted_lambda(gs, t_period, j)
-        return _reduced(sf, *shoot(sf, lam, rtol=rtol, atol=atol), t_period, j)
+        return _reduced(sf, *shoot(sf, lam), t_period, j)
     periods = np.asarray(t_period, dtype=float).tolist()
     lams = [shifted_lambda(gs, t, j) for t in periods]
-    boundary = _shoot_batch(sf, lams, rtol=rtol, atol=atol)
+    boundary = _shoot_batch(sf, lams)
     return np.array(
         [
-            _reduced(sf, *(wb or shoot(sf, lam, rtol=rtol, atol=atol)), t, j)
+            _reduced(sf, *(wb or shoot(sf, lam)), t, j)
             for t, lam, wb in zip(periods, lams, boundary)
         ]
     )
 
 
-def _shoot_batch(sf: SpaceForm, lams: list[float], **tol) -> list:
+def _shoot_batch(sf: SpaceForm, lams: list[float]) -> list:
     """(w(1), w'(1)) per member from one batched solve, or None per member when
     the batch fails (a member whose solution overflows fails it whole; its
     floating-point warnings are silenced, the callers' scalar re-solves keep
     theirs)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            w1, dw1 = shoot(sf, np.array(lams), **tol)
+            w1, dw1 = shoot(sf, np.array(lams))
     except ConvergenceError:
         return [None] * len(lams)
     return list(zip(w1.tolist(), dw1.tolist()))
@@ -365,8 +363,9 @@ def _scan_point(gs, sf, t_period, j, lam, boundary, closed_value) -> tuple[Dispe
     """Both routes at one T, each failure recorded in its own sample.
 
     boundary is (w(1), w'(1)) from the batched solve, or None to solve this
-    member on its own; closed_value is the batched closed form, or NaN to
-    evaluate this member on its own.
+    member on its own; closed_value is the batched closed form, NaN to
+    evaluate this member on its own, or the error text of a closed-form
+    context that could not be built, recorded without evaluating again.
     """
     nu_star = complex(Degree.from_spectral(sf, lam))
     ode = DispersionSample(t_period, j, math.nan, ROUTE_ODE, nu_star)
@@ -376,6 +375,9 @@ def _scan_point(gs, sf, t_period, j, lam, boundary, closed_value) -> tuple[Dispe
         ode.sigma = -gs.dphi1 * ode.sigma_reduced
     except Exception as exc:  # recorded in-line, scan continues
         ode.error = str(exc)
+    if isinstance(closed_value, str):
+        closed.error = closed_value
+        return ode, closed
     try:
         closed.sigma = (
             sigma_closed(gs, sf, t_period, j) if math.isnan(closed_value) else closed_value
@@ -418,8 +420,8 @@ def scan(
     lams = [shifted_lambda(gs, t, j) for t in periods]
     try:
         closed = _sigma_closed_many(gs, sf, lams).tolist()
-    except Exception:  # the closed-form context failed: each row records it
-        closed = [math.nan] * len(lams)
+    except Exception as exc:  # the closed-form context failed: each row records it
+        closed = [str(exc)] * len(lams)
     curve = DispersionCurve(n=sf.n, k=sf.k, j=j)
     for t_period, lam, wb, cf in zip(periods, lams, _shoot_batch(sf, lams), closed):
         curve.samples.extend(_scan_point(gs, sf, t_period, j, lam, wb, cf))

@@ -5,19 +5,35 @@ import numpy as np
 import pytest
 
 from cylbif.bifurcation import (
+    INITIAL_POINTS,
     PARITY_CHANGES,
-    PARITY_DOES_NOT_CHANGE,
-    crossing_parity,
     domain_profile,
     find_sigma_zeros,
-    kernel_modes,
     run_bifurcation,
-    select_t_star,
 )
 from cylbif.dispersion import sigma_reduced
 from cylbif.errors import ConvergenceError, NumericalError
 from cylbif.geometry import SpaceForm
 from cylbif.spectral import ground_state
+
+# T_star from a 40-digit mpmath evaluation of the Legendre/Ferrers
+# representation of the regular solution (a reference without a rigorous
+# bound; the n = 3 values agree with interval enclosures in every digit)
+REFERENCE_T_STAR = {
+    (2, 1.0): 2.9821661040498072,
+    (2, -1.0): 3.1320245985894188,
+    (3, 1.0): 2.5091744868236651,
+    (3, -1.0): 2.7148011881357731,
+    (4, -1.0): 2.4504707541161902,
+    (6, -1.5): 2.1738544863823084,
+    (12, -0.5): 1.5669063166687902,
+    (12, 7.0): 0.37272453910697269,
+    (3, 8.4): 0.519667368760838,
+    (3, 8.85): 0.349894337743975,
+}
+# run_bifurcation fails on these (the solve at T_star / j_max overflows);
+# their T_star comes from the search alone
+SEARCH_ONLY = ((12, 7.0), (3, 8.4), (3, 8.85))
 
 
 class TestFindSigmaZerosSynthetic:
@@ -28,30 +44,20 @@ class TestFindSigmaZerosSynthetic:
         assert zeros[0].t0 == pytest.approx(1.0, rel=1e-10)
         assert zeros[0].width <= 1e-10 * zeros[0].t0
 
-    def test_tangential_zero_flagged_not_selected(self):
-        producer = lambda t: (1.0 - t) ** 2 * (2.0 - t)
-        zeros = find_sigma_zeros(producer, 0.5, 2.5)
-        changing = [z for z in zeros if z.sign_change]
-        suspects = [z for z in zeros if not z.sign_change]
-        assert len(changing) == 1
-        assert changing[0].t0 == pytest.approx(2.0, rel=1e-9)
-        assert len(suspects) == 1
-        assert suspects[0].t0 == pytest.approx(1.0, rel=1e-6)
-        assert suspects[0].sigma_min is not None and suspects[0].sigma_min < 1e-8
-
-    def test_multiple_zeros(self):
+    def test_non_monotone_producer_raises(self):
+        # three zeros: the search names the first grid point where sigma rises
         producer = lambda t: (1.0 - t) * (3.0 - t) * (10.0 - t) / (1.0 + t)
-        zeros = find_sigma_zeros(producer, 0.5, 20.0)
-        locations = [z.t0 for z in zeros if z.sign_change]
-        assert len(locations) == 3
-        for got, expected in zip(locations, (1.0, 3.0, 10.0)):
-            assert got == pytest.approx(expected, rel=1e-9)
+        grid = np.geomspace(0.5, 20.0, INITIAL_POINTS)
+        first = grid[np.flatnonzero(np.diff(producer(grid)) >= 0.0)[0] + 1].item()
+        with pytest.raises(NumericalError, match="not strictly decreasing") as exc:
+            find_sigma_zeros(producer, 0.5, 20.0)
+        assert f"at T={first!r} " in str(exc.value)
 
     def test_grid_doubling_invariance(self):
-        producer = lambda t: (1.0 - t) * (3.0 - t) * (10.0 - t) / (1.0 + t)
+        producer = lambda t: (3.0 - t) * (1.0 + 1.0 / t)
         base = find_sigma_zeros(producer, 0.5, 20.0, initial_points=512)
         fine = find_sigma_zeros(producer, 0.5, 20.0, initial_points=1024)
-        assert len(base) == len(fine)
+        assert len(base) == len(fine) == 1
         for a, b in zip(base, fine):
             assert abs(a.t0 - b.t0) <= 1e-10 * a.t0
 
@@ -60,57 +66,15 @@ class TestFindSigmaZerosSynthetic:
         zeros = find_sigma_zeros(lambda t: 1.0 - t, 2.0, 8.0)
         assert zeros[0].t0 == pytest.approx(1.0, rel=1e-9)
 
+    def test_auto_widening_right(self):
+        # window entirely on the positive side: must widen right to find the zero
+        zeros = find_sigma_zeros(lambda t: 5.0 - t, 0.5, 2.0)
+        assert len(zeros) == 1
+        assert zeros[0].t0 == pytest.approx(5.0, rel=1e-10)
+
     def test_hopeless_producer_raises(self):
         with pytest.raises(NumericalError, match="not positive"):
             find_sigma_zeros(lambda t: -1.0, 0.5, 2.0)
-
-
-class TestSelectTStar:
-    def test_skips_tangential(self):
-        producer = lambda t: (1.0 - t) ** 2 * (2.0 - t)
-        zeros = find_sigma_zeros(producer, 0.5, 2.5)
-        assert select_t_star(zeros) == pytest.approx(2.0, rel=1e-9)
-
-    def test_minimum_of_changing(self):
-        producer = lambda t: (2.0 - t) * (5.0 - t) * (8.0 - t) / (1.0 + t) ** 3
-        zeros = find_sigma_zeros(producer, 0.5, 12.0)
-        assert select_t_star(zeros) == pytest.approx(2.0, rel=1e-9)
-
-    def test_requires_sign_change(self):
-        with pytest.raises(ValueError, match="sign-changing"):
-            select_t_star([])
-
-
-class TestKernelModes:
-    def test_synthetic_two_mode_kernel(self):
-        # zeros of sigma at T = 3 and T = 1.5 -> modes {1, 2} at T_star = 3
-        producer = lambda t: (t - 3.0) * (t - 1.5)
-        modes, probes = kernel_modes(producer, 3.0, j_max=8)
-        assert modes == [1, 2]
-        # the probe values come back in order j = 2..j_max
-        assert probes == [producer(3.0 / j) for j in range(2, 9)]
-
-    def test_generic_single_mode(self):
-        producer = lambda t: 3.0 - t
-        modes, probes = kernel_modes(producer, 3.0, j_max=16)
-        assert modes == [1]
-        assert len(probes) == 15 and probes[-1] == producer(3.0 / 16)
-
-    def test_tight_producer_can_veto(self):
-        producer = lambda t: (t - 3.0) * (t - 1.5)
-        # a tight re-evaluation that contradicts the candidate drops it
-        modes, _ = kernel_modes(
-            producer, 3.0, j_max=8, tight_producer=lambda t: 1.0 if t != 3.0 else 0.0
-        )
-        assert modes == [1]
-
-
-class TestCrossingParity:
-    def test_sign_change(self):
-        assert crossing_parity(lambda t: 3.0 - t, 3.0) == PARITY_CHANGES
-
-    def test_tangential(self):
-        assert crossing_parity(lambda t: (3.0 - t) ** 2, 3.0) == PARITY_DOES_NOT_CHANGE
 
 
 class TestDomainProfile:
@@ -156,18 +120,32 @@ class TestRealPipeline:
         assert rep.parity[1] == PARITY_CHANGES
         assert rep.sigma_at_j_max > 0.0
 
-    def test_sigma_at_j_max_from_the_kernel_probes(self, ground_states, bifurcation_reports):
-        # the last kernel probe is T_star/j_max; without probes (j_max = 1)
-        # the value comes from its own solve
+    def test_sigma_at_j_max_from_the_spot_check(self, ground_states, bifurcation_reports):
+        # the last member of the batched spot check T_star / [2, j_max]; with
+        # j_max = 1 there is no check and the value comes from its own solve
         gs = ground_states[(2, 1.0)]
         sf = SpaceForm(2, 1.0)
         rep = bifurcation_reports[(2, 1.0)]
-        probes = sigma_reduced(gs, sf, rep.t_star / np.arange(2, rep.j_max + 1))
-        assert rep.sigma_at_j_max == probes[-1]
+        spot = sigma_reduced(gs, sf, rep.t_star / np.array([2.0, rep.j_max]))
+        assert rep.sigma_at_j_max == spot[-1]
         scalar = sigma_reduced(gs, sf, rep.t_star / rep.j_max)
         assert rep.sigma_at_j_max == pytest.approx(scalar, rel=1e-12)
         single = run_bifurcation(gs, sf, j_max=1)
         assert single.sigma_at_j_max == sigma_reduced(gs, sf, single.t_star)
+
+    def test_spot_check_that_is_not_positive_raises(self, ground_states, monkeypatch):
+        import cylbif.bifurcation as bifurcation
+
+        real = bifurcation.sigma_reduced
+
+        def spoiled(gs, sf, t_period, j=1):
+            if np.ndim(t_period) and len(t_period) == 2:  # T_star / [2, j_max]
+                return np.array([1.0, 0.0])
+            return real(gs, sf, t_period, j)
+
+        monkeypatch.setattr(bifurcation, "sigma_reduced", spoiled)
+        with pytest.raises(NumericalError, match="not positive"):
+            run_bifurcation(ground_states[(2, 1.0)], SpaceForm(2, 1.0))
 
     def test_report_json_round_trip(self, bifurcation_reports):
         payload = bifurcation_reports[(3, -1.0)].to_dict()
@@ -182,10 +160,9 @@ class TestRealPipeline:
         assert rep2.t_star == bifurcation_reports[(2, 1.0)].t_star
 
     def test_batched_grid_finds_the_per_point_zeros(self, ground_states, bifurcation_reports):
-        # the grid values pick signs and seed the first regula falsi step;
-        # here the refinement forgets its seed, so one scalar solve per grid
-        # point gives the very same zeros (on other cases they can differ
-        # within the bracket width)
+        # one scalar solve per grid point gives grid values that may differ in
+        # the last bits, so the refinement may take other steps; both
+        # certified brackets must hold the one zero
         gs = ground_states[(2, 1.0)]
         sf = SpaceForm(2, 1.0)
 
@@ -194,11 +171,15 @@ class TestRealPipeline:
                 return np.array([sigma_reduced(gs, sf, x) for x in t.tolist()])
             return sigma_reduced(gs, sf, t)
 
-        zeros = find_sigma_zeros(per_point, 0.5, 50.0)
-        assert zeros == bifurcation_reports[(2, 1.0)].zeros
+        (alone,) = find_sigma_zeros(per_point, 0.5, 50.0)
+        (batched,) = bifurcation_reports[(2, 1.0)].zeros
+        assert abs(alone.t0 - batched.t0) <= 0.5 * (alone.width + batched.width)
+        reference = REFERENCE_T_STAR[(2, 1.0)]
+        for zero in (alone, batched):
+            assert abs(zero.t0 - reference) <= 1e-11 * reference
 
     def test_radial_solve_count(self, ground_states, monkeypatch):
-        # one batched solve for the grid, one for the kernel probes, the rest
+        # one batched solve for the grid, one for the spot check, the rest
         # scalar refinement
         import cylbif.radial as radial
 
@@ -211,7 +192,7 @@ class TestRealPipeline:
 
         monkeypatch.setattr(radial, "solve_ivp", counting)
         run_bifurcation(ground_states[(2, 1.0)], SpaceForm(2, 1.0))
-        assert len(calls) <= 20
+        assert len(calls) <= 10
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -226,7 +207,7 @@ def test_overflowing_kernel_probes_raise_the_per_probe_error():
     def producer(t):
         return sigma_reduced(gs, sf, t)
 
-    t_star = select_t_star(find_sigma_zeros(producer, 0.5, 50.0))
+    t_star = find_sigma_zeros(producer, 0.5, 50.0)[0].t0
     probes = t_star / np.arange(57, 65)  # the deepest probes of j_max = 64
     with pytest.raises(ConvergenceError) as per_probe:
         for t_period in probes.tolist():
@@ -254,16 +235,6 @@ def test_kernel_scale_identity(ground_states, bifurcation_reports):
     assert via_mode == via_rescale == [1]
 
 
-def test_crossing_parity_indeterminate_flagged():
-    from cylbif.bifurcation import PARITY_INDETERMINATE
-
-    def producer(t):
-        # sign change visible at the coarse probe only
-        return (t - 3.0) if abs(t - 3.0) >= 1e-4 else 1.0
-
-    assert crossing_parity(producer, 3.0) == PARITY_INDETERMINATE
-
-
 def test_auto_widening_on_real_curve(ground_states, bifurcation_reports):
     from cylbif.dispersion import sigma_reduced
 
@@ -283,3 +254,33 @@ def test_exact_grid_hit_handled():
     assert len(zeros) == 1
     assert zeros[0].sign_change
     assert zeros[0].t0 == pytest.approx(2.0, rel=1e-10)
+
+
+@pytest.fixture(scope="module")
+def reference_ground_states(ground_states):
+    extra = {
+        case: ground_state(SpaceForm(*case))
+        for case in REFERENCE_T_STAR
+        if case not in ground_states
+    }
+    return {**ground_states, **extra}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_T_STAR), ids=str)
+def test_t_star_matches_the_reference(case, reference_ground_states, bifurcation_reports):
+    gs, sf = reference_ground_states[case], SpaceForm(*case)
+    if case in bifurcation_reports:
+        t_star = bifurcation_reports[case].t_star
+    elif case in SEARCH_ONLY:
+        t_star = find_sigma_zeros(lambda t: sigma_reduced(gs, sf, t), 0.5, 50.0)[0].t0
+    else:
+        t_star = run_bifurcation(gs, sf).t_star
+    reference = REFERENCE_T_STAR[case]
+    assert abs(t_star - reference) <= 1e-11 * reference
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_T_STAR), ids=str)
+def test_search_grid_strictly_decreasing(case, reference_ground_states):
+    grid = np.geomspace(0.5, 50.0, INITIAL_POINTS)
+    values = sigma_reduced(reference_ground_states[case], SpaceForm(*case), grid)
+    assert np.all(np.diff(values) < 0.0)

@@ -129,10 +129,10 @@ class TestSigmaRoutes:
 def test_batched_sigma_reduced_matches_per_point_solves(
     ground_states, bifurcation_reports, case
 ):
-    # the two batches of the bifurcation search: the 512-point grid on
-    # [0.5, 50] and the kernel probes T_star/j, j = 2..64, whose stiffest
-    # member sets the batch's steps; compared at every fourth member, since
-    # a scalar solve of a stiff probe costs tens of milliseconds
+    # two wide batches: a 512-point grid on [0.5, 50] and the probes
+    # T_star/j, j = 2..64, whose stiffest member sets the batch's steps;
+    # compared at every fourth member, since a scalar solve of a stiff probe
+    # costs tens of milliseconds
     gs = ground_states[case]
     sf = SpaceForm(*case)
     grid = np.geomspace(0.5, 50.0, 512)
@@ -387,3 +387,25 @@ def test_scan_failing_rows_keep_their_errors(n, k, t_lo):
     assert any(s.error for s in curve.samples)
     assert curve.csv_text() == expected.csv_text()
 
+
+
+def test_scan_builds_a_failing_closed_form_context_once(monkeypatch):
+    # at (3, 9.5) the context's series reaches the term cap; every
+    # closed-form sample records that one error without building it again
+    import cylbif.dispersion as dispersion
+    from cylbif.spectral import ground_state
+
+    sf = SpaceForm(3, 9.5)
+    gs = ground_state(sf)
+    calls = []
+    real = dispersion._closed_form_context
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(dispersion, "_closed_form_context", counting)
+    curve = scan(gs, sf, 0.5, 50.0, 200)
+    assert len(calls) == 1
+    errors = {s.error for s in curve.samples if s.route == "closed_form"}
+    assert len(errors) == 1 and "did not converge" in errors.pop()
