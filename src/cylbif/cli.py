@@ -100,15 +100,12 @@ def cmd_bifurcate(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    sf = _require_case(args)
     if args.tstar is not None:
-        if args.n is None or args.k is None:
-            raise ValueError("both --n and --k are required (flag or config file)")
         t_star = args.tstar
     else:
-        sf = _require_case(args)
-        gs = ground_state(sf)
-        t_star = run_bifurcation(gs, sf).t_star
-    prof = domain_profile(t_star, args.epsilon, args.samples, n=args.n, k=args.k)
+        t_star = run_bifurcation(ground_state(sf), sf).t_star
+    prof = domain_profile(t_star, args.epsilon, args.samples, n=sf.n, k=sf.k)
     _emit(prof.csv_text(), args.csv_out)
     return 0
 
@@ -119,15 +116,24 @@ def _parse_cases(text: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        n_str, k_str = chunk.split(",")
-        cases.append((int(n_str), float(k_str)))
-    return tuple(cases) or DEFAULT_CASES
+        try:
+            n_str, k_str = chunk.split(",")
+            cases.append((int(n_str), float(k_str)))
+        except ValueError:
+            raise ValueError(f"--cases: malformed pair {chunk!r}, expected n,k") from None
+    if not cases:
+        raise ValueError("--cases is empty; give semicolon-separated n,k pairs")
+    return tuple(cases)
 
 
 def cmd_verify(args) -> int:
-    groups = args.only.split(",") if args.only else None
-    cases = _parse_cases(args.cases) if args.cases else DEFAULT_CASES
-    results = run_checks(groups=groups, cases=cases, quick=not args.full)
+    groups = None
+    if args.only is not None:
+        if not args.only.strip():
+            raise ValueError("--only is empty; give comma-separated check groups")
+        groups = args.only.split(",")
+    cases = DEFAULT_CASES if args.cases is None else _parse_cases(args.cases)
+    results = run_checks(groups=groups, cases=cases)
     if args.format == "json":
         payload = [
             {
@@ -214,7 +220,6 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p_ver.add_argument("--only", help=f"comma-separated subset of: {', '.join(GROUPS)}")
     p_ver.add_argument("--cases", help="semicolon-separated n,k pairs (default all four)")
     p_ver.add_argument("--format", choices=("table", "json"), default="table")
-    p_ver.add_argument("--full", action="store_true", help="full-size grids (slower)")
     p_ver.set_defaults(func=cmd_verify)
 
     if config_defaults:

@@ -21,10 +21,13 @@ Two independent evaluation routes are provided:
                        the ground state in the interior.
 
 Agreement between the routes at every (T, j) is the package's central
-correctness property.  Both routes take an ndarray of periods: ``sigma_ode``
-as one batched radial solve, ``sigma_closed`` as one vectorized series
-summation per order, bit-equal to its scalar evaluation member by member.
-A scan evaluates each route of its whole grid that way.
+correctness property.  Each route has one outcome path (_ode_outcomes,
+_closed_outcomes) that takes a grid of periods and yields, member by member,
+the value or the exception that member's own evaluation raises.  Two or more
+members are one batched radial solve, or one vectorized series summation per
+order bit-equal to the scalar evaluation; a single member, and a member the
+batch could not evaluate, is evaluated on its own.  The public functions
+raise the first failing member's error; a scan records each in its sample.
 """
 
 import math
@@ -69,29 +72,43 @@ def sigma_reduced(
     """Normalization-free form w'(1)/w(1) + (n-1) C_k(1)/S_k(1).
 
     Shares its zeros with sigma (sigma = -phi'(1) * reduced, -phi'(1) > 0);
-    preferred for root finding because it does not depend on s.  An ndarray
-    of periods is one batched radial solve; if that solve fails, each member
-    is solved on its own, so the first failing member raises its own error.
+    preferred for root finding because it does not depend on s.  Evaluated
+    as _ode_outcomes lays out.
     """
-    if np.ndim(t_period) == 0:
-        lam = shifted_lambda(gs, t_period, j)
-        return _reduced(sf, *shoot(sf, lam), t_period, j)
-    periods = np.asarray(t_period, dtype=float).tolist()
+    return _evaluate(_ode_outcomes, gs, sf, t_period, j)
+
+
+def _evaluate(outcomes, gs: GroundState, sf: SpaceForm, t_period, j: int):
+    """A route's value: a float for a float period, else an ndarray, each
+    member's Lam_j mapped once; the first failing member raises its error."""
+    scalar = np.ndim(t_period) == 0
+    periods = [t_period] if scalar else np.asarray(t_period, dtype=float).tolist()
     lams = [shifted_lambda(gs, t, j) for t in periods]
-    boundary = _shoot_batch(sf, lams)
-    return np.array(
-        [
-            _reduced(sf, *(wb or shoot(sf, lam)), t, j)
-            for t, lam, wb in zip(periods, lams, boundary)
-        ]
-    )
+    values = []
+    for outcome in outcomes(gs, sf, periods, lams, j):
+        if isinstance(outcome, Exception):
+            raise outcome
+        values.append(outcome)
+    return values[0] if scalar else np.array(values)
+
+
+def _ode_outcomes(gs, sf: SpaceForm, periods: list, lams: list, j: int):
+    """The reduced form of each member in order, or the exception its own
+    solve raises.  Two or more members are one batched solve; a single
+    member, and each member of a failed batch, is solved on its own."""
+    boundary = _shoot_batch(sf, lams) if len(lams) > 1 else [None]
+    for t_period, lam, wb in zip(periods, lams, boundary):
+        try:
+            outcome = _reduced(sf, *(wb or shoot(sf, lam)), t_period, j)
+        except Exception as exc:  # the member's own outcome
+            outcome = exc
+        yield outcome
 
 
 def _shoot_batch(sf: SpaceForm, lams: list[float]) -> list:
     """(w(1), w'(1)) per member from one batched solve, or None per member when
     the batch fails (a member whose solution overflows fails it whole; its
-    floating-point warnings are silenced, the callers' scalar re-solves keep
-    theirs)."""
+    floating-point warnings are silenced, the scalar re-solves keep theirs)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             w1, dw1 = shoot(sf, np.array(lams))
@@ -202,21 +219,10 @@ def sigma_closed(
                             A = -s sqrt(-k) P^(-mu+1)_nu / P^(-mu)_nu*
     k > 0, half-integer mu: same with Ferrers functions and sqrt(k)
 
-    with all functions evaluated at x = C_k(1).  An ndarray of periods is
-    summed as one series per order over all members, bit-equal to the scalar
-    evaluation of each; a member that the batch could not evaluate is
-    evaluated on its own, so the first failing member raises its own error.
+    with all functions evaluated at x = C_k(1).  Evaluated as
+    _closed_outcomes lays out.
     """
-    if np.ndim(t_period) == 0:
-        return _sigma_closed_one(gs, sf, t_period, j)
-    periods = np.asarray(t_period, dtype=float).tolist()
-    lams = [shifted_lambda(gs, t, j) for t in periods]
-    return np.array(
-        [
-            _sigma_closed_one(gs, sf, t, j) if math.isnan(value) else value
-            for t, value in zip(periods, _sigma_closed_many(gs, sf, lams).tolist())
-        ]
-    )
+    return _evaluate(_closed_outcomes, gs, sf, t_period, j)
 
 
 def _c1p_plus_ddphi(gs, sf, ctx, den, up):
@@ -234,33 +240,41 @@ def _c1p_plus_ddphi(gs, sf, ctx, den, up):
     return c1p + gs.ddphi1
 
 
-def _sigma_closed_one(gs: GroundState, sf: SpaceForm, t_period: float, j: int) -> float:
-    ctx = _closed_form_context(gs, sf)
-    nu_star = Degree.from_spectral(sf, shifted_lambda(gs, t_period, j))
+def _closed_outcomes(gs: GroundState, sf: SpaceForm, periods: list, lams: list, j: int):
+    """sigma_closed of each member in order, or the exception its own
+    evaluation raises.  A context that cannot be built is every member's
+    error.  Two or more members are one series summation per order, the
+    raised order only where the denominator is usable; a single member, and
+    each member the summation leaves NaN (a failed series, a vanishing
+    denominator), takes the scalar case table."""
+    try:
+        ctx = _closed_form_context(gs, sf)
+    except Exception as exc:  # built once: every member records it
+        yield from [exc] * len(periods)
+        return
+    batch = [math.nan]
+    if len(lams) > 1:
+        nus = [Degree.from_spectral(sf, lam).value for lam in lams]
+        den = _first_kind_many(ctx.m0, nus, ctx.x1)
+        usable = np.flatnonzero(~np.isnan(den) & (den != 0.0))
+        up = np.full(len(nus), np.nan)
+        up[usable] = _first_kind_many(ctx.m0 + 1.0, [nus[i] for i in usable.tolist()], ctx.x1)
+        with np.errstate(all="ignore"):
+            batch = _c1p_plus_ddphi(gs, sf, ctx, den, up).tolist()
     fam = _family(sf)
-    den = fam(ctx.m0, nu_star, ctx.x1)
-    if den == 0.0:
-        raise DegeneracyError(
-            f"representation denominator vanished at T={t_period}, j={j}"
-        )
-    return _c1p_plus_ddphi(gs, sf, ctx, den, fam(ctx.m0 + 1.0, nu_star, ctx.x1))
-
-
-def _sigma_closed_many(gs: GroundState, sf: SpaceForm, lams: list[float]) -> np.ndarray:
-    """sigma_closed per shifted parameter, one series summation per order.
-
-    NaN marks a member that is left to the scalar path: a failed series or a
-    vanishing denominator.  The raised order is summed only for the members
-    whose denominator is usable, as the scalar path would.
-    """
-    ctx = _closed_form_context(gs, sf)
-    nus = [Degree.from_spectral(sf, lam).value for lam in lams]
-    den = _first_kind_many(ctx.m0, nus, ctx.x1)
-    usable = np.flatnonzero(~np.isnan(den) & (den != 0.0))
-    up = np.full(len(nus), np.nan)
-    up[usable] = _first_kind_many(ctx.m0 + 1.0, [nus[i] for i in usable.tolist()], ctx.x1)
-    with np.errstate(all="ignore"):
-        return _c1p_plus_ddphi(gs, sf, ctx, den, up)
+    for t_period, lam, outcome in zip(periods, lams, batch):
+        if math.isnan(outcome):
+            try:
+                nu_star = Degree.from_spectral(sf, lam)
+                den = fam(ctx.m0, nu_star, ctx.x1)
+                if den == 0.0:
+                    raise DegeneracyError(
+                        f"representation denominator vanished at T={t_period}, j={j}"
+                    )
+                outcome = _c1p_plus_ddphi(gs, sf, ctx, den, fam(ctx.m0 + 1.0, nu_star, ctx.x1))
+            except Exception as exc:  # the member's own outcome
+                outcome = exc
+        yield outcome
 
 
 # ---------------------------------------------------------------------------
@@ -359,34 +373,6 @@ class DispersionCurve:
             fh.write(self.csv_text())
 
 
-def _scan_point(gs, sf, t_period, j, lam, boundary, closed_value) -> tuple[DispersionSample, ...]:
-    """Both routes at one T, each failure recorded in its own sample.
-
-    boundary is (w(1), w'(1)) from the batched solve, or None to solve this
-    member on its own; closed_value is the batched closed form, NaN to
-    evaluate this member on its own, or the error text of a closed-form
-    context that could not be built, recorded without evaluating again.
-    """
-    nu_star = complex(Degree.from_spectral(sf, lam))
-    ode = DispersionSample(t_period, j, math.nan, ROUTE_ODE, nu_star)
-    closed = DispersionSample(t_period, j, math.nan, ROUTE_CLOSED, nu_star)
-    try:
-        ode.sigma_reduced = _reduced(sf, *(boundary or shoot(sf, lam)), t_period, j)
-        ode.sigma = -gs.dphi1 * ode.sigma_reduced
-    except Exception as exc:  # recorded in-line, scan continues
-        ode.error = str(exc)
-    if isinstance(closed_value, str):
-        closed.error = closed_value
-        return ode, closed
-    try:
-        closed.sigma = (
-            sigma_closed(gs, sf, t_period, j) if math.isnan(closed_value) else closed_value
-        )
-    except Exception as exc:
-        closed.error = str(exc)
-    return ode, closed
-
-
 def scan(
     gs: GroundState,
     sf: SpaceForm,
@@ -398,13 +384,9 @@ def scan(
     """Log-spaced dual-route scan of sigma_j on [t_lo, t_hi].
 
     The upper end is capped at T_HI_CAP: arbitrarily large periods only
-    probe the degenerate T -> infinity regime.  The ODE route of the whole
-    grid is one batched radial solve; if that solve fails (a member whose
-    solution overflows fails the batch), each member is solved on its own so
-    a failure stays with its sample.  The closed-form route of the whole grid
-    is one series summation per order; a member it could not evaluate is
-    evaluated on its own, so its error too stays with its sample.  Samples
-    come in increasing T order.
+    probe the degenerate T -> infinity regime.  Both routes evaluate the
+    whole grid through their outcome paths, and a member's error stays with
+    its sample.  Samples come in increasing T order.
     """
     if not 0.0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
@@ -412,17 +394,27 @@ def scan(
         raise ValueError(f"t_hi={t_hi} exceeds the cap {T_HI_CAP}")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    if j < 1:
-        raise ValueError(f"mode index must satisfy j >= 1, got j={j}")
     grid = np.geomspace(t_lo, t_hi, points)
     grid[0], grid[-1] = t_lo, t_hi  # exact endpoints
     periods = grid.tolist()
     lams = [shifted_lambda(gs, t, j) for t in periods]
-    try:
-        closed = _sigma_closed_many(gs, sf, lams).tolist()
-    except Exception as exc:  # the closed-form context failed: each row records it
-        closed = [str(exc)] * len(lams)
     curve = DispersionCurve(n=sf.n, k=sf.k, j=j)
-    for t_period, lam, wb, cf in zip(periods, lams, _shoot_batch(sf, lams), closed):
-        curve.samples.extend(_scan_point(gs, sf, t_period, j, lam, wb, cf))
+    for t_period, lam, reduced, closed in zip(
+        periods,
+        lams,
+        _ode_outcomes(gs, sf, periods, lams, j),
+        _closed_outcomes(gs, sf, periods, lams, j),
+    ):
+        nu_star = complex(Degree.from_spectral(sf, lam))
+        ode = DispersionSample(t_period, j, math.nan, ROUTE_ODE, nu_star)
+        cf = DispersionSample(t_period, j, math.nan, ROUTE_CLOSED, nu_star)
+        if isinstance(reduced, Exception):
+            ode.error = str(reduced)
+        else:
+            ode.sigma_reduced, ode.sigma = reduced, -gs.dphi1 * reduced
+        if isinstance(closed, Exception):
+            cf.error = str(closed)
+        else:
+            cf.sigma = closed
+        curve.samples += (ode, cf)
     return curve

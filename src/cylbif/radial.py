@@ -69,16 +69,14 @@ def _rhs(sf: SpaceForm, lam):
     return f
 
 
-def _integrate(
-    sf: SpaceForm, lam, r_end: float, delta: float, rtol: float, atol: float, **options
-):
+def _integrate(sf: SpaceForm, lam, r_end: float, delta: float, **options):
     """One DOP853 solve of the regular solution(s) from the series start to r_end.
     An ndarray lam shares one step sequence: the error norm is an RMS over the
     whole state, so the stiffest member sets the steps."""
     u0, du0 = frobenius_start(sf, lam, delta)
     sol = solve_ivp(
         _rhs(sf, lam), (delta, r_end), np.hstack((u0, du0)), method="DOP853",
-        rtol=rtol, atol=atol, **options,
+        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, **options,
     )
     if not sol.success:
         raise ConvergenceError(
@@ -88,17 +86,13 @@ def _integrate(
 
 
 def shoot(
-    sf: SpaceForm,
-    lam: float | np.ndarray,
-    delta: float = DEFAULT_DELTA,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    sf: SpaceForm, lam: float | np.ndarray, delta: float = DEFAULT_DELTA
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(u(1), u'(1)) of the regular solution, without storing the profile.
 
     For an ndarray lam, one batched solve returns a pair of arrays.
     """
-    u1, du1 = np.split(_integrate(sf, lam, 1.0, delta, rtol, atol).y[:, -1], 2)
+    u1, du1 = np.split(_integrate(sf, lam, 1.0, delta).y[:, -1], 2)
     if np.ndim(lam):
         return u1, du1
     return float(u1[0]), float(du1[0])
@@ -151,7 +145,7 @@ def solve_regular(sf: SpaceForm, lam: float) -> RadialSolution:
     interpolant between them is then accurate to O((1/PROFILE_POINTS)^4).
     """
     delta = DEFAULT_DELTA
-    sol = _integrate(sf, lam, 1.0, delta, DEFAULT_RTOL, DEFAULT_ATOL, dense_output=True)
+    sol = _integrate(sf, lam, 1.0, delta, dense_output=True)
     f = _rhs(sf, lam)
     r_grid = np.linspace(0.0, 1.0, PROFILE_POINTS)
     t = np.unique(np.concatenate([[delta], r_grid[r_grid > delta], [1.0]]))
@@ -217,6 +211,6 @@ def first_zero(sf: SpaceForm, lam: float, r_max: float) -> float | None:
 
     crossing.terminal = True
     crossing.direction = 0
-    sol = _integrate(sf, lam, r_max, DEFAULT_DELTA, DEFAULT_RTOL, DEFAULT_ATOL, events=crossing)
+    sol = _integrate(sf, lam, r_max, DEFAULT_DELTA, events=crossing)
     events = sol.t_events[0]
     return float(events[0]) if len(events) else None

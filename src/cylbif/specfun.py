@@ -18,9 +18,12 @@ implementation exploits this so conical values are exactly real.
 
 Direct summation converges for |1-x|/2 < 1.  Beyond that (x > 2.5, reached
 by the dispersion route at k < ~-2.456) a Pfaff transformation moves the
-argument to (x-1)/(x+1) < 1, at the price of requiring a real degree.  Both
-real forms are summed by one kernel, _hyp_real; the complex olver_hyp is the
-reference behind legendre_q and the realness checks.
+argument to (x-1)/(x+1) < 1, at the price of requiring a real degree.  One
+plan, _series_plan, fixes for each (m, nu, x) the prefactor, the form (direct,
+Pfaff, or refused) and the series arguments; the scalar legendre_p/ferrers_p
+and the batched _first_kind_many both follow it.  Both real forms are summed
+by one kernel, _hyp_real; the complex olver_hyp is the reference behind
+legendre_q and the realness checks.
 """
 
 import cmath
@@ -223,8 +226,9 @@ def _hyp_real_array(h, beta, c: float, z) -> np.ndarray:
             for hi, bi, zi in zip(*(m.tolist() for m in members))
         ]
     )
-    # scalar inputs stay floats in the loop: fewer array operations per term
-    h, beta, z = (m if a.ndim else float(a) for a, m in zip(parts, members))
+    # a column with one value throughout stays a float in the loop: fewer
+    # array operations per term
+    h, beta, z = (float(m[0]) if m.size and (m == m[0]).all() else m for m in members)
     out = np.full(term.size, np.nan)
     index = np.arange(term.size)
     total = term.copy()
@@ -252,41 +256,6 @@ def _hyp_real_array(h, beta, c: float, z) -> np.ndarray:
                 )
                 h, beta, z = (a[live] if np.ndim(a) else a for a in (h, beta, z))
     return out.reshape(shape)
-
-
-def _hyp_degree(nu: complex, c: float, w: float) -> float:
-    """F_olver(nu+1, -nu; c; w) for real c, w; exactly real output.
-
-    Uses (nu+1+s)(s-nu) = (s+1/2)^2 - (nu+1/2)^2, which is real for both real
-    and conical degrees.
-    """
-    if abs(w) >= 1.0:
-        raise ValueError(f"series argument must satisfy |w| < 1, got w={w:.6g}")
-    try:
-        return _hyp_real(0.5, _degree_beta(nu), c, w)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"degree-form {exc} (nu={nu}, c={c}, w={w})", residual=exc.residual
-        ) from None
-
-
-def _hyp_degree_pfaff(nu: float, c: float, x: float) -> float:
-    """F_olver(nu+1, -nu; c; (1-x)/2) for x > 1 via the Pfaff transformation.
-
-    F(a, b; c; w) = (1-w)^(-a) F(a, c-b; c; w/(w-1)) maps the argument to
-    y = (x-1)/(x+1) in (0, 1), convergent for every x > 1.  With a = nu+1 and
-    c-b = c+nu, (a+s)(c-b+s) = (s+h)^2 - ((1-c)/2)^2 for h = nu + (1+c)/2.
-    Real degree only: for conical degrees the transformed coefficients are no
-    longer real.
-    """
-    y = (x - 1.0) / (x + 1.0)
-    try:
-        total = _hyp_real(nu + (1.0 + c) / 2.0, ((1.0 - c) / 2.0) ** 2, c, y)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"Pfaff-form {exc} (nu={nu}, c={c}, x={x})", residual=exc.residual
-        ) from None
-    return ((x + 1.0) / 2.0) ** (-(nu + 1.0)) * total
 
 
 # ---------------------------------------------------------------------------
@@ -344,27 +313,13 @@ def _coerce_degree(nu) -> complex:
 def legendre_p(m: float, nu, x: float) -> float:
     """Associated Legendre function of the first kind, P^m_nu(x) on x > 1.
 
-    Any real order m (DLMF notation P with order -mu and mu replaced by -m).
-    Real degrees take the direct series up to x = 2.5 and the Pfaff form
-    beyond it; conical degrees take the direct series on its whole disk,
-    x < 3, and are refused from x = 3 on.
+    Any real order m (DLMF notation P with order -mu and mu replaced by -m),
+    summed as _series_plan lays out.
     """
     nu = _coerce_degree(nu)
     if not x > 1.0:
         raise ValueError(f"argument must satisfy x > 1, got x={x}")
-    prefactor = ((x - 1.0) / (x + 1.0)) ** (-m / 2.0)
-    c = 1.0 - m
-    if nu.imag != 0.0:
-        # conical degrees keep the exactly-real direct series; it converges
-        # on the whole disk |1-x|/2 < 1, i.e. up to x = 3
-        if x >= 3.0:
-            raise ValueError(
-                f"conical degree supported only for x < 3 (series disk), got x={x}"
-            )
-        return prefactor * _hyp_degree(nu, c, (1.0 - x) / 2.0)
-    if x <= _PFAFF_SWITCH:
-        return prefactor * _hyp_degree(nu, c, (1.0 - x) / 2.0)
-    return prefactor * _hyp_degree_pfaff(nu.real, c, x)
+    return _first_kind(m, nu, x)
 
 
 def ferrers_p(m: float, nu, x: float) -> float:
@@ -372,44 +327,71 @@ def ferrers_p(m: float, nu, x: float) -> float:
     nu = _coerce_degree(nu)
     if not -1.0 < x < 1.0:
         raise ValueError(f"argument must satisfy -1 < x < 1, got x={x}")
-    prefactor = ((1.0 + x) / (1.0 - x)) ** (m / 2.0)
-    return prefactor * _hyp_degree(nu, 1.0 - m, (1.0 - x) / 2.0)
+    return _first_kind(m, nu, x)
+
+
+def _series_plan(m: float, nu: complex, x: float) -> tuple:
+    """How P^m_nu(x) is summed: Ferrers on -1 < x < 1, Legendre on x > 1.
+
+    Returns (prefactor, scale, h, beta, z, form).  The value is
+    prefactor * (scale * S), S the _hyp_real sum of (h, beta, 1 - m, z);
+    form = (name, degree, argument name, argument) labels a failing series.
+    Real degrees take the direct series up to x = 2.5 and the Pfaff form
+    beyond it; conical degrees take the direct series on its whole disk,
+    x < 3, and are refused with a ValueError from x = 3 on.
+    """
+    if x < 1.0:
+        prefactor = ((1.0 + x) / (1.0 - x)) ** (m / 2.0)
+    else:
+        prefactor = ((x - 1.0) / (x + 1.0)) ** (-m / 2.0)
+    if nu.imag == 0.0 and x > _PFAFF_SWITCH:
+        # F(a, b; c; w) = (1-w)^(-a) F(a, c-b; c; w/(w-1)) moves the argument
+        # to y = (x-1)/(x+1) in (0, 1); with a = nu+1 and c-b = c+nu,
+        # (a+s)(c-b+s) = (s+h)^2 - ((1-c)/2)^2 for h = nu + (1+c)/2.  Real
+        # degree only: for conical ones these coefficients are not real.
+        nu, c = nu.real, 1.0 - m
+        scale = ((x + 1.0) / 2.0) ** (-(nu + 1.0))
+        h, beta, y = nu + (1.0 + c) / 2.0, ((1.0 - c) / 2.0) ** 2, (x - 1.0) / (x + 1.0)
+        return prefactor, scale, h, beta, y, ("Pfaff", nu, "x", x)
+    if x >= 3.0:
+        raise ValueError(f"conical degree supported only for x < 3 (series disk), got x={x}")
+    # F_olver(nu+1, -nu; c; w): (nu+1+s)(s-nu) = (s+1/2)^2 - (nu+1/2)^2 is
+    # real for real and conical degrees
+    w = (1.0 - x) / 2.0
+    return prefactor, 1.0, 0.5, _degree_beta(nu), w, ("degree", nu, "w", w)
+
+
+def _first_kind(m: float, nu: complex, x: float) -> float:
+    """P^m_nu(x) by its series plan, for the domain-checked scalar functions."""
+    prefactor, scale, h, beta, z, form = _series_plan(m, nu, x)
+    try:
+        total = _hyp_real(h, beta, 1.0 - m, z)
+    except ConvergenceError as exc:
+        name, degree, arg_name, arg = form
+        raise ConvergenceError(
+            f"{name}-form {exc} (nu={degree}, c={1.0 - m}, {arg_name}={arg})",
+            residual=exc.residual,
+        ) from None
+    return prefactor * (scale * total)
 
 
 def _first_kind_many(m: float, nus: list[complex], x: float) -> np.ndarray:
     """legendre_p (x > 1) or ferrers_p (-1 < x < 1) of order m at one x for a
     list of degrees, in one _hyp_real call, each member bit-equal to the scalar
-    function.  A member the scalar function refuses (a conical degree at
-    x >= 3) or fails on (the term cap) is NaN.
+    function.  A member the plan refuses (a conical degree at x >= 3) or whose
+    series fails (the term cap) is NaN.
     """
-    c = 1.0 - m
-    w = (1.0 - x) / 2.0
-    if x < 1.0:
-        prefactor = ((1.0 + x) / (1.0 - x)) ** (m / 2.0)
-    else:
-        prefactor = ((x - 1.0) / (x + 1.0)) ** (-m / 2.0)
-    if x <= _PFAFF_SWITCH:
-        return prefactor * _hyp_real(0.5, np.array([_degree_beta(nu) for nu in nus]), c, w)
-    # real degrees take the Pfaff form, conical ones the direct series (x < 3)
-    y = (x - 1.0) / (x + 1.0)
-    pfaff_beta = ((1.0 - c) / 2.0) ** 2
     out = np.full(len(nus), np.nan)
-    summed, h, beta, z, scale = [], [], [], [], []
+    summed, plans = [], []
     for i, nu in enumerate(nus):
-        if nu.imag == 0.0:
-            summed.append(i)
-            h.append(nu.real + (1.0 + c) / 2.0)
-            beta.append(pfaff_beta)
-            z.append(y)
-            scale.append(((x + 1.0) / 2.0) ** (-(nu.real + 1.0)))
-        elif x < 3.0:
-            summed.append(i)
-            h.append(0.5)
-            beta.append(_degree_beta(nu))
-            z.append(w)
-            scale.append(1.0)
-    total = _hyp_real(np.array(h), np.array(beta), c, np.array(z))
-    out[summed] = prefactor * (np.array(scale) * total)
+        try:
+            plans.append(_series_plan(m, nu, x)[:5])
+        except ValueError:  # refused
+            continue
+        summed.append(i)
+    if summed:
+        prefactor, scale, h, beta, z = np.array(plans).T
+        out[summed] = prefactor * (scale * _hyp_real(h, beta, 1.0 - m, z))
     return out
 
 

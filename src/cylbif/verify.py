@@ -57,9 +57,8 @@ class CheckResult:
 
 
 class _Suite:
-    def __init__(self, cases, quick: bool):
+    def __init__(self, cases):
         self.cases = tuple(cases)
-        self.quick = quick
         self.results: list[CheckResult] = []
         self._gs = {}
         self._bif = {}
@@ -350,9 +349,8 @@ def _spectral(sx: _Suite):
 
 
 def _dual_route(sx: _Suite):
-    points = 25 if sx.quick else 200
     for n, k in sx.cases:
-        rows = scan(sx.gs(n, k), SpaceForm(n, k), 0.1, 100.0, points).rows()
+        rows = scan(sx.gs(n, k), SpaceForm(n, k), 0.1, 100.0, 200).rows()
         # a route failure leaves nan in its row, and nan fails the check
         worst = np.max(
             [abs(r["sigma_ode"] - r["sigma_cf"]) / (1.0 + abs(r["sigma_ode"])) for r in rows]
@@ -480,7 +478,7 @@ GROUPS = {
 }
 
 
-def run_checks(groups=None, cases=DEFAULT_CASES, quick=True) -> list[CheckResult]:
+def run_checks(groups=None, cases=DEFAULT_CASES) -> list[CheckResult]:
     """Run the named groups (all by default) and return their results."""
     if groups is None:
         selected = list(GROUPS)
@@ -492,7 +490,7 @@ def run_checks(groups=None, cases=DEFAULT_CASES, quick=True) -> list[CheckResult
                 f"available: {', '.join(GROUPS)}"
             )
         selected = list(groups)
-    suite = _Suite(cases, quick)
+    suite = _Suite(cases)
     for name in selected:
         GROUPS[name](suite)
     return suite.results

@@ -139,6 +139,12 @@ class TestProfile:
         assert code == 2
         assert "epsilon" in err
 
+    def test_inadmissible_case_with_explicit_period_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "profile", "--tstar", "2", "--n", "1", "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert "n >= 2" in err
+
 
 class TestVerify:
     def test_subset_table(self, capsys):
@@ -159,6 +165,23 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--only", "no-such-group")
         assert code == 2
         assert "unknown check group" in err
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--only", ""), ("--cases", " "), ("--cases", ";")],
+        ids=["only", "cases-blank", "cases-separator"],
+    )
+    def test_empty_selection_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} is empty" in err
+
+    @pytest.mark.parametrize("chunk", ["2", "2,1,5", "two,1"])
+    def test_malformed_case_is_usage_error(self, capsys, chunk):
+        code, out, err = run_cli(capsys, "verify", "--only", "geometry", "--cases", f"3,1;{chunk}")
+        assert code == 2
+        assert out == ""
+        assert f"malformed pair {chunk!r}" in err
 
 
 class TestConfigFile:

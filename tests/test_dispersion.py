@@ -361,6 +361,54 @@ class TestBatchedClosedForm:
         assert str(batched.value) == str(per_point.value)
 
 
+class TestRoutePaths:
+    """Each route decides batch or single by member count in one place."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_scan_is_one_solve_and_one_summation_per_order(self, ground_states, monkeypatch):
+        import cylbif.dispersion as dispersion
+        import cylbif.radial as radial
+
+        gs = ground_states[(2, 1.0)]
+        sigma_closed(gs, SpaceForm(2, 1.0), 2.0)  # closed-form context cached
+        solves = self.count_calls(monkeypatch, radial, "solve_ivp")
+        sums = self.count_calls(monkeypatch, dispersion, "_first_kind_many")
+        rows = scan(gs, SpaceForm(2, 1.0), 0.5, 50.0, 200).rows()
+        assert all(row["agree_flag"] for row in rows)
+        assert (len(solves), len(sums)) == (1, 2)
+
+    def test_float_period_makes_no_batched_call(self, ground_states, monkeypatch):
+        import cylbif.dispersion as dispersion
+
+        gs = ground_states[(2, -1.0)]
+        sf = SpaceForm(2, -1.0)
+        solves = self.count_calls(monkeypatch, dispersion, "_shoot_batch")
+        sums = self.count_calls(monkeypatch, dispersion, "_first_kind_many")
+        assert isinstance(sigma_reduced(gs, sf, 2.0), float)
+        assert isinstance(sigma_closed(gs, sf, 2.0), float)
+        assert solves == sums == []
+
+    @pytest.mark.parametrize("route", [sigma_reduced, sigma_closed])
+    @pytest.mark.parametrize("case", [(2, 1.0), (3, -1.0)])
+    def test_one_member_array_equals_float_call(self, ground_states, route, case):
+        gs = ground_states[case]
+        sf = SpaceForm(*case)
+        got = route(gs, sf, np.array([2.7]), 2)
+        assert got.shape == (1,)
+        assert got[0] == route(gs, sf, 2.7, 2)
+
+
 @pytest.mark.parametrize(
     "n,k,t_lo", [(3, 9.5, 0.5), (2, 9.5, 0.5), (2, -4.0, 0.5), (3, 9.18, 0.1)]
 )

@@ -159,15 +159,18 @@ class TestLegendreP:
                 scale * math.cosh((nu + 0.5) * xi), rel=1e-12
             )
 
-    def test_pfaff_path_matches_direct_series(self):
-        # both evaluation paths converge on 1 < x < 3; they must agree there
-        from cylbif.specfun import _hyp_degree, _hyp_degree_pfaff
+    def test_pfaff_path_matches_direct_series(self, monkeypatch):
+        # both evaluation paths converge on 1 < x < 3; they must agree there.
+        # The switch pinned below 1 or at 3 sends every real degree there
+        # through the Pfaff or the direct series.
+        import cylbif.specfun as specfun
 
         for x in (1.5, 2.0, 2.45, 2.9):
             for m, nu in ((0.0, 2.2), (0.5, 1.3), (-1.5, 0.9), (1.0, 1.7)):
-                c = 1.0 - m
-                direct = _hyp_degree(complex(nu), c, (1.0 - x) / 2.0)
-                transformed = _hyp_degree_pfaff(nu, c, x)
+                monkeypatch.setattr(specfun, "_PFAFF_SWITCH", 3.0)
+                direct = legendre_p(m, nu, x)
+                monkeypatch.setattr(specfun, "_PFAFF_SWITCH", 1.0)
+                transformed = legendre_p(m, nu, x)
                 assert transformed == pytest.approx(direct, rel=1e-13)
 
     def test_conical_beyond_series_region_rejected(self):
