@@ -136,6 +136,18 @@ class DomainProfile:
             fh.write(self.csv_text())
 
 
+def check_profile_args(epsilon: float, samples: int) -> None:
+    """Raise ValueError unless 0 <= epsilon < 0.5 and samples >= 8.
+
+    epsilon is capped below 0.5: the construction is first-order, valid for
+    small amplitudes only.
+    """
+    if not 0.0 <= epsilon < 0.5:
+        raise ValueError(f"amplitude must satisfy 0 <= epsilon < 0.5, got {epsilon}")
+    if samples < 8:
+        raise ValueError(f"samples must be >= 8, got {samples}")
+
+
 def domain_profile(
     t_star: float,
     epsilon: float,
@@ -145,13 +157,9 @@ def domain_profile(
 ) -> DomainProfile:
     """Uniformly sampled linear-order profile over one period.
 
-    epsilon is capped below 0.5: the construction is first-order, valid for
-    small amplitudes only.  epsilon = 0 returns the unperturbed cylinder.
+    epsilon = 0 returns the unperturbed cylinder.
     """
-    if not 0.0 <= epsilon < 0.5:
-        raise ValueError(f"amplitude must satisfy 0 <= epsilon < 0.5, got {epsilon}")
-    if samples < 8:
-        raise ValueError(f"samples must be >= 8, got {samples}")
+    check_profile_args(epsilon, samples)
     if t_star <= 0.0:
         raise ValueError(f"period must be positive, got {t_star}")
     t = np.arange(samples) * (t_star / samples)

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bifurcation import domain_profile, run_bifurcation
+from .bifurcation import check_profile_args, domain_profile, run_bifurcation
 from .dispersion import scan
 from .errors import NumericalError
 from .geometry import SpaceForm
@@ -88,6 +88,7 @@ def cmd_scan(args) -> int:
 
 def cmd_bifurcate(args) -> int:
     sf = _require_case(args)
+    check_profile_args(args.epsilon, args.profile_samples)  # with or without --profile-out
     gs = ground_state(sf)
     report = run_bifurcation(gs, sf, t_lo=args.tlo, t_hi=args.thi, j_max=args.jmax)
     _emit(_json_dumps(report.to_dict()), args.report_out)
@@ -163,6 +164,7 @@ def cmd_verify(args) -> int:
 def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cylbif",
+        allow_abbrev=False,
         description=(
             "Dispersion relation and bifurcation pipeline for the overdetermined "
             "eigenvalue problem on constant-curvature cylinders."
@@ -173,7 +175,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         help="key=value file supplying option defaults (CLI flags override)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    fmt = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter, allow_abbrev=False)
 
     def add_case_args(p):
         # not argparse-required so a --config file can supply them
@@ -233,7 +235,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
 
     # config file supplies defaults; explicit flags win
-    pre = argparse.ArgumentParser(prog="cylbif", add_help=False)
+    pre = argparse.ArgumentParser(prog="cylbif", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     config_path = pre.parse_known_args(argv)[0].config
     converted = None

@@ -5,33 +5,33 @@ boundary-value problem with shifted spectral parameter
 
     Lam_j = lambda1 - (2 pi j / T)^2  <  lambda1,
 
-whose continuous-at-the-origin solution c_j carries c_j(1) = -phi'(1) and
+whose regular solution w gives sigma_j(T) = -phi'(1) g(Lam_j), with the
+reduced curve g = w'(1)/w(1) + (n-1) C_k(1)/S_k(1).  Two independent routes
+evaluate g:
 
-    sigma_j(T) = c_j'(1) + phi''(1).
+* ``sigma_ode``     -- solve the shifted radial ODE for w;
+* ``sigma_closed``  -- w = S_k^(-mu) P^(-mu)_nu*(C_k(r)), mu = (n-2)/2, with
+                       Legendre (k < 0) or Ferrers (k > 0) functions of degree
+                       nu* = -1/2 + sqrt((n-1)^2/4 + Lam_j/k).  The identity
+                       (x^2-1) dP^m/dx = (x^2-1)^(1/2) P^(m+1) + m x P^m, with
+                       dx/dr = -k S_k and x^2-1 = |k| S_k^2 (same signs for
+                       Ferrers functions), gives
+                       g = sqrt|k| P^(-mu+1)_nu*(x1) / P^(-mu)_nu*(x1) + C_k(1)/S_k(1)
+                       at x1 = C_k(1), a function of (n, k, Lam_j) alone.
 
-Two independent evaluation routes are provided:
-
-* ``sigma_ode``     -- solve the shifted radial ODE and form
-                       -phi'(1) [w'(1)/w(1) + (n-1) C_k(1)/S_k(1)];
-* ``sigma_closed``  -- the closed-form expressions in Legendre (k < 0) or
-                       Ferrers (k > 0) functions of degree
-                       nu* = -1/2 + sqrt((n-1)^2/4 + Lam_j/k) at x = C_k(1),
-                       with order mu = (n-2)/2 (integer for even n) or -mu
-                       (odd n), and the representation coefficient matched to
-                       the ground state in the interior.
-
-Agreement between the routes at every (T, j) is the package's central
+sigma_ode, sigma_closed and scan each apply the ground state's -phi'(1)
+once.  Agreement between the routes at every (T, j) is the package's central
 correctness property.  Each route has one outcome path (_ode_outcomes,
-_closed_outcomes) that takes a grid of periods and yields, member by member,
-the value or the exception that member's own evaluation raises.  Two or more
-members are one batched radial solve, or one vectorized series summation per
-order bit-equal to the scalar evaluation; a single member, and a member the
-batch could not evaluate, is evaluated on its own.  The public functions
-raise the first failing member's error; a scan records each in its sample.
+_closed_outcomes) that takes the periods (for error texts) with their Lam_j
+and yields, member by member, g or the exception that member's own
+evaluation raises.  Two or more members are one batched radial solve, or one
+vectorized series summation per order bit-equal to the scalar evaluation; a
+single member, and a member the batch could not evaluate, is evaluated on
+its own.  The public functions raise the first failing member's error; a
+scan records each in its sample.
 """
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +47,6 @@ T_HI_CAP = 200.0
 
 ROUTE_ODE = "ode"
 ROUTE_CLOSED = "closed_form"
-
-
-def mode_order(n: int) -> tuple[float, bool]:
-    """(mu, is_integer) with mu = (n-2)/2; integer orders for even n."""
-    mu = (n - 2) / 2.0
-    return mu, n % 2 == 0
 
 
 def shifted_lambda(gs: GroundState, t_period: float, j: int) -> float:
@@ -85,21 +79,25 @@ def _evaluate(outcomes, gs: GroundState, sf: SpaceForm, t_period, j: int):
     periods = [t_period] if scalar else np.asarray(t_period, dtype=float).tolist()
     lams = [shifted_lambda(gs, t, j) for t in periods]
     values = []
-    for outcome in outcomes(gs, sf, periods, lams, j):
+    for outcome in outcomes(sf, periods, lams, j):
         if isinstance(outcome, Exception):
             raise outcome
         values.append(outcome)
     return values[0] if scalar else np.array(values)
 
 
-def _ode_outcomes(gs, sf: SpaceForm, periods: list, lams: list, j: int):
+def _ode_outcomes(sf: SpaceForm, periods: list, lams: list, j: int):
     """The reduced form of each member in order, or the exception its own
     solve raises.  Two or more members are one batched solve; a single
-    member, and each member of a failed batch, is solved on its own."""
+    member, and each member of a failed batch, is solved on its own.  An
+    overflowing solve fails with its ConvergenceError alone: floating-point
+    warnings are silenced for each solve, never across a yield."""
     boundary = _shoot_batch(sf, lams) if len(lams) > 1 else [None]
     for t_period, lam, wb in zip(periods, lams, boundary):
         try:
-            outcome = _reduced(sf, *(wb or shoot(sf, lam)), t_period, j)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w1, dw1 = wb or shoot(sf, lam)
+            outcome = _reduced(sf, w1, dw1, t_period, j)
         except Exception as exc:  # the member's own outcome
             outcome = exc
         yield outcome
@@ -107,8 +105,8 @@ def _ode_outcomes(gs, sf: SpaceForm, periods: list, lams: list, j: int):
 
 def _shoot_batch(sf: SpaceForm, lams: list[float]) -> list:
     """(w(1), w'(1)) per member from one batched solve, or None per member when
-    the batch fails (a member whose solution overflows fails it whole; its
-    floating-point warnings are silenced, the scalar re-solves keep theirs)."""
+    the batch fails (a member whose solution overflows fails it whole, with
+    its floating-point warnings silenced)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             w1, dw1 = shoot(sf, np.array(lams))
@@ -139,139 +137,49 @@ def sigma_ode(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ClosedFormContext:
-    """Per-ground-state constants of the closed-form route."""
-
-    mu: float
-    integer_order: bool
-    m0: float  # order of the representation, and of the denominator function
-    x1: float
-    s1_pow: float  # S_k(1)^(1 - n/2)
-    s1_pow_n2: float  # S_k(1)^(-n/2)
-    sqrt_abs_k: float
-    nu: Degree
-    s_rep: float
-    f_up_nu: float  # family(order+1 of the representation, nu, x1)
-
-
-_CF_CACHE: "weakref.WeakKeyDictionary[GroundState, _ClosedFormContext]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _family(sf: SpaceForm):
-    return legendre_p if sf.k < 0 else ferrers_p
-
-
-def _closed_form_context(gs: GroundState, sf: SpaceForm) -> _ClosedFormContext:
-    ctx = _CF_CACHE.get(gs)
-    if ctx is not None:
-        return ctx
-    n, k = sf.n, sf.k
-    mu, integer_order = mode_order(n)
-    fam = _family(sf)
-    nu = Degree.from_spectral(sf, gs.lambda1)
-    x1 = c_k(sf, 1.0)
-    s1 = s_k(sf, 1.0)
-    m0 = mu if integer_order else -mu
-
-    # Representation coefficient: match phi = s_rep S_k^(1-n/2) f(m0, nu, C_k(r))
-    # against the ground-state profile at an interior point, then confirm the
-    # represented phi is positive on (0, 1) rather than trusting sign
-    # bookkeeping in the case formulas.
-    r_match = 0.5
-    base = s_k(sf, r_match) ** (1.0 - n / 2.0) * fam(m0, nu, c_k(sf, r_match))
-    s_rep = gs.phi(r_match) / base
-    for r in np.linspace(0.08, 0.92, 12):
-        rep = s_rep * s_k(sf, r) ** (1.0 - n / 2.0) * fam(m0, nu, c_k(sf, r))
-        if not rep > 0.0:
-            raise DegeneracyError(
-                f"represented eigenfunction not positive at r={r:.3g} "
-                f"(value {rep:.3g}); representation order {m0}"
-            )
-    f_up_nu = fam(m0 + 1.0, nu, x1)
-    ctx = _ClosedFormContext(
-        mu=mu,
-        integer_order=integer_order,
-        m0=m0,
-        x1=x1,
-        s1_pow=s1 ** (1.0 - n / 2.0),
-        s1_pow_n2=s1 ** (-n / 2.0),
-        sqrt_abs_k=math.sqrt(abs(k)),
-        nu=nu,
-        s_rep=s_rep,
-        f_up_nu=f_up_nu,
-    )
-    _CF_CACHE[gs] = ctx
-    return ctx
-
-
 def sigma_closed(
     gs: GroundState, sf: SpaceForm, t_period: float | np.ndarray, j: int = 1
 ) -> float | np.ndarray:
-    """sigma_j(T) through the closed-form case table.
-
-    k < 0, integer mu:      c'(1) = s k S^(1-n/2) P^(mu+1)_nu P^(mu+1)_nu* / P^mu_nu*
-    k > 0, integer mu:      same with Ferrers functions and a leading minus
-    k < 0, half-integer mu: c'(1) = A [sqrt(-k) S^(1-n/2) P^(-mu+1)_nu*
-                                       - 2 mu C_k(1) S^(-n/2) P^(-mu)_nu*],
-                            A = -s sqrt(-k) P^(-mu+1)_nu / P^(-mu)_nu*
-    k > 0, half-integer mu: same with Ferrers functions and sqrt(k)
-
-    with all functions evaluated at x = C_k(1).  Evaluated as
-    _closed_outcomes lays out.
-    """
-    return _evaluate(_closed_outcomes, gs, sf, t_period, j)
+    """sigma_j(T) through the closed-form reduced curve
+    g = sqrt|k| P^(-mu+1)_nu*(x1) / P^(-mu)_nu*(x1) + C_k(1)/S_k(1), times
+    -phi'(1).  Evaluated as _closed_outcomes lays out."""
+    return -gs.dphi1 * _evaluate(_closed_outcomes, gs, sf, t_period, j)
 
 
-def _c1p_plus_ddphi(gs, sf, ctx, den, up):
-    """The case table from P^m_nu*(x1) (den) and P^(m+1)_nu*(x1) (up), floats
-    or ndarrays alike."""
-    if ctx.integer_order:
-        lead = sf.k if sf.k < 0 else -sf.k
-        c1p = lead * ctx.s_rep * ctx.s1_pow * (ctx.f_up_nu * up) / den
-    else:
-        a_const = -ctx.s_rep * ctx.sqrt_abs_k * ctx.f_up_nu / den
-        c1p = a_const * (
-            ctx.sqrt_abs_k * ctx.s1_pow * up
-            - 2.0 * ctx.mu * ctx.x1 * ctx.s1_pow_n2 * den
-        )
-    return c1p + gs.ddphi1
+def _g_closed(sf: SpaceForm, den, up):
+    """The reduced curve from P^(-mu)_nu*(x1) (den) and P^(-mu+1)_nu*(x1)
+    (up), floats or ndarrays alike."""
+    return math.sqrt(abs(sf.k)) * up / den + c_k(sf, 1.0) / s_k(sf, 1.0)
 
 
-def _closed_outcomes(gs: GroundState, sf: SpaceForm, periods: list, lams: list, j: int):
-    """sigma_closed of each member in order, or the exception its own
-    evaluation raises.  A context that cannot be built is every member's
-    error.  Two or more members are one series summation per order, the
-    raised order only where the denominator is usable; a single member, and
-    each member the summation leaves NaN (a failed series, a vanishing
-    denominator), takes the scalar case table."""
-    try:
-        ctx = _closed_form_context(gs, sf)
-    except Exception as exc:  # built once: every member records it
-        yield from [exc] * len(periods)
-        return
+def _closed_outcomes(sf: SpaceForm, periods: list, lams: list, j: int):
+    """The reduced curve of each member in order, or the exception its own
+    evaluation raises.  Two or more members are one series summation per
+    order, the raised order only where the denominator is usable; a single
+    member, and each member the summation leaves NaN (a failed series, a
+    vanishing denominator), is evaluated on its own."""
+    order = -(sf.n - 2) / 2.0  # -mu
+    x1 = c_k(sf, 1.0)
     batch = [math.nan]
     if len(lams) > 1:
         nus = [Degree.from_spectral(sf, lam).value for lam in lams]
-        den = _first_kind_many(ctx.m0, nus, ctx.x1)
+        den = _first_kind_many(order, nus, x1)
         usable = np.flatnonzero(~np.isnan(den) & (den != 0.0))
         up = np.full(len(nus), np.nan)
-        up[usable] = _first_kind_many(ctx.m0 + 1.0, [nus[i] for i in usable.tolist()], ctx.x1)
+        up[usable] = _first_kind_many(order + 1.0, [nus[i] for i in usable.tolist()], x1)
         with np.errstate(all="ignore"):
-            batch = _c1p_plus_ddphi(gs, sf, ctx, den, up).tolist()
-    fam = _family(sf)
+            batch = _g_closed(sf, den, up).tolist()
+    fam = legendre_p if sf.k < 0 else ferrers_p
     for t_period, lam, outcome in zip(periods, lams, batch):
         if math.isnan(outcome):
             try:
                 nu_star = Degree.from_spectral(sf, lam)
-                den = fam(ctx.m0, nu_star, ctx.x1)
+                den = fam(order, nu_star, x1)
                 if den == 0.0:
                     raise DegeneracyError(
-                        f"representation denominator vanished at T={t_period}, j={j}"
+                        f"closed-form denominator vanished at T={t_period}, j={j}"
                     )
-                outcome = _c1p_plus_ddphi(gs, sf, ctx, den, fam(ctx.m0 + 1.0, nu_star, ctx.x1))
+                outcome = _g_closed(sf, den, fam(order + 1.0, nu_star, x1))
             except Exception as exc:  # the member's own outcome
                 outcome = exc
         yield outcome
@@ -402,8 +310,8 @@ def scan(
     for t_period, lam, reduced, closed in zip(
         periods,
         lams,
-        _ode_outcomes(gs, sf, periods, lams, j),
-        _closed_outcomes(gs, sf, periods, lams, j),
+        _ode_outcomes(sf, periods, lams, j),
+        _closed_outcomes(sf, periods, lams, j),
     ):
         nu_star = complex(Degree.from_spectral(sf, lam))
         ode = DispersionSample(t_period, j, math.nan, ROUTE_ODE, nu_star)
@@ -415,6 +323,6 @@ def scan(
         if isinstance(closed, Exception):
             cf.error = str(closed)
         else:
-            cf.sigma = closed
+            cf.sigma = -gs.dphi1 * closed
         curve.samples += (ode, cf)
     return curve

@@ -13,8 +13,9 @@ by a zero flux (S_k^(n-1) vanishes there) and Dirichlet data at r = 1.
                    data, assembled per Fourier mode (fast path) or from a
                    fully coupled 2D sparse solve (validation path).
 
-All oracle values carry refinement-based error estimates; callers compare
-against estimate-inflated tolerances, never machine epsilon.
+Callers compare against refinement-based error estimates (fd_lambda1
+carries one; for fd_sigma it comes from the solves at m and m/2), never
+machine epsilon.
 """
 
 import math
@@ -163,15 +164,6 @@ def fd_sigma(gs: GroundState, sf: SpaceForm, t_period: float, j: int, m: int) ->
     return _boundary_derivative(w, 1.0 / m) + gs.ddphi1
 
 
-def fd_sigma_estimate(
-    gs: GroundState, sf: SpaceForm, t_period: float, j: int, m: int
-) -> tuple[float, float]:
-    """(value at m, refinement error estimate from the m/2 solve)."""
-    fine = fd_sigma(gs, sf, t_period, j, m)
-    coarse = fd_sigma(gs, sf, t_period, j, m // 2)
-    return fine, abs(fine - coarse) / 3.0
-
-
 def _discrete_time_eigenvalue(j: int, m_t: int, h_t: float) -> float:
     """Eigenvalue of the periodic second difference on mode cos(2 pi j l / m_t)."""
     return -(2.0 - 2.0 * math.cos(2.0 * math.pi * j / m_t)) / (h_t * h_t)
@@ -258,10 +250,3 @@ def fd_dtn_matrix(
                 2.0 / m_t * float(h_of_e @ np.cos(2.0 * math.pi * jp * t_nodes / m_t))
             )
     return matrix
-
-
-def save_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Dump a dense matrix as CSV for offline inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

@@ -354,7 +354,9 @@ def _series_plan(m: float, nu: complex, x: float) -> tuple:
         h, beta, y = nu + (1.0 + c) / 2.0, ((1.0 - c) / 2.0) ** 2, (x - 1.0) / (x + 1.0)
         return prefactor, scale, h, beta, y, ("Pfaff", nu, "x", x)
     if x >= 3.0:
-        raise ValueError(f"conical degree supported only for x < 3 (series disk), got x={x}")
+        raise ValueError(
+            f"conical degree nu={nu} supported only for x < 3 (series disk), got x={x}"
+        )
     # F_olver(nu+1, -nu; c; w): (nu+1+s)(s-nu) = (s+1/2)^2 - (nu+1/2)^2 is
     # real for real and conical degrees
     w = (1.0 - x) / 2.0

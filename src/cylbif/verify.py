@@ -28,6 +28,7 @@ from .specfun import (
     FORM_LEGENDRE_P_LARGE_DEGREE_NEG,
     FORM_LEGENDRE_P_LARGE_DEGREE_POS,
     FORM_LEGENDRE_Q_EDGE_SINGULAR,
+    Degree,
     asymptotic_form,
     bessel_i,
     ferrers_p,
@@ -281,28 +282,41 @@ def _bessel(sx: _Suite):
     sx.check_max("bessel", "half-integer-closed-form", resid, 1e-14)
 
 
-def _radial(sx: _Suite):
-    # representation cross-check: u = const * S^(1-n/2) f(m0, nu, C_k(r))
-    from .dispersion import mode_order
-    from .specfun import Degree
+def _representation(sf: SpaceForm, lam: float):
+    """The regular solution u(r) = S_k^(-mu) P^(-mu)_nu(C_k(r)), mu = (n-2)/2,
+    nu = nu*(lam), and sqrt|k| S_k(1)^(-mu) P^(-mu+1)_nu(C_k(1)), which is
+    u'(1) wherever u(1) = 0."""
+    order = -(sf.n - 2) / 2.0
+    fam = legendre_p if sf.k < 0 else ferrers_p
+    nu = Degree.from_spectral(sf, lam)
 
+    def u(r):
+        return s_k(sf, r) ** order * fam(order, nu, c_k(sf, r))
+
+    du1 = math.sqrt(abs(sf.k)) * s_k(sf, 1.0) ** order * fam(order + 1.0, nu, c_k(sf, 1.0))
+    return u, du1
+
+
+def _radial(sx: _Suite):
     worst = 0.0
     for n, k in sx.cases:
         sf = SpaceForm(n, k)
-        lam = 5.0
-        rad = solve_regular(sf, lam)
-        mu, integer_order = mode_order(n)
-        m0 = mu if integer_order else -mu
-        fam = legendre_p if k < 0 else ferrers_p
-        nu = Degree.from_spectral(sf, lam)
-        r_ref = 0.5
-        const = rad.value(r_ref) / (
-            s_k(sf, r_ref) ** (1 - n / 2) * fam(m0, nu, c_k(sf, r_ref))
-        )
+        rad = solve_regular(sf, 5.0)
+        u, _ = _representation(sf, 5.0)
+        const = rad.value(0.5) / u(0.5)
         for r in (0.25, 0.7, 0.9):
-            rep = const * s_k(sf, r) ** (1 - n / 2) * fam(m0, nu, c_k(sf, r))
-            worst = max(worst, abs(rep - rad.value(r)) / abs(rad.value(r)))
+            worst = max(worst, abs(const * u(r) - rad.value(r)) / abs(rad.value(r)))
     sx.check_max("radial", "separated-representation", worst, 1e-7)
+
+    # the representation matched to the ground state at r = 0.5 gives phi'(1)
+    # independently of the profile's boundary derivative
+    worst = 0.0
+    for n, k in sx.cases:
+        gs = sx.gs(n, k)
+        u, du1 = _representation(SpaceForm(n, k), gs.lambda1)
+        dphi1 = gs.phi(0.5) / u(0.5) * du1
+        worst = max(worst, abs(dphi1 - gs.dphi1) / abs(gs.dphi1))
+    sx.check_max("radial", "representation-dphi1", worst, 1e-9)
 
     sf = SpaceForm(2, -1.0)
     u1, du1 = shoot(sf, 5.0)

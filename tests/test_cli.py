@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -37,6 +38,15 @@ class TestEigen:
         assert code == 2
         assert "n >= 2" in err
 
+    def test_option_prefix_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # --j is no abbreviation of --json-out
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "eigen", "--n", "3", "--k", "1", "--j", "5")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --j 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestScan:
     def test_rows_and_agreement(self, capsys):
@@ -54,15 +64,29 @@ class TestScan:
         assert all(line.rsplit(",", 1)[1] == "true" for line in lines[1:])
 
     def test_failure_reason_on_stderr(self, capsys):
-        # k = -4 puts C_k(1) outside the closed form's series disk
+        # k = -4 puts C_k(1) outside the closed form's series disk for the
+        # conical degrees of T = 5 and T = 50; T = 0.5 has a real degree
         argv = ("scan", "--n", "2", "--k", "-4", "--points", "3")
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.count("\n") == 1
-        assert err.startswith("3/3 rows disagree; first at T=0.5: ")
+        assert err.startswith("2/3 rows disagree; first at T=4.99")
         assert "series disk" in err
         rows = out.strip().splitlines()[1:]
-        assert all(row.split(",")[5] == "nan" for row in rows)
+        assert [row.split(",")[5] == "nan" for row in rows] == [False, True, True]
+
+    def test_overflow_prints_one_stderr_line(self, capsys):
+        # at T <~ 0.009 the regular solution overflows before r = 1; the
+        # failing rows' solves must not print floating-point warnings
+        argv = ("scan", "--n", "2", "--k", "1", "--tlo", "0.004", "--thi", "0.04",
+                "--points", "8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        assert err.count("\n") == 1
+        assert err.startswith("3/8 rows disagree; first at T=0.004: radial integration failed")
 
     def test_single_point_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -101,6 +125,23 @@ class TestBifurcate:
         rho = [float(line.split(",")[1]) for line in lines[1:]]
         assert abs(sum(r - 1.0 for r in rho) / len(rho)) < 1e-14
 
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [("--epsilon", "0.9", "epsilon"), ("--profile-samples", "3", "samples")],
+    )
+    def test_profile_options_checked_without_profile_out(
+        self, capsys, tmp_path, option, value, message
+    ):
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "bifurcate", "--n", "2", "--k", "1", option, value,
+            "--report-out", str(report),
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("jmax", ["0", "-3"])
     def test_nonpositive_jmax_is_usage_error(self, capsys, jmax):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cylbif.bifurcation import INITIAL_POINTS, J_MAX_DEFAULT
 from cylbif.dispersion import (
     AGREEMENT_RTOL,
     DispersionCurve,
@@ -129,18 +130,17 @@ class TestSigmaRoutes:
 def test_batched_sigma_reduced_matches_per_point_solves(
     ground_states, bifurcation_reports, case
 ):
-    # two wide batches: a 512-point grid on [0.5, 50] and the probes
-    # T_star/j, j = 2..64, whose stiffest member sets the batch's steps;
-    # compared at every fourth member, since a scalar solve of a stiff probe
-    # costs tens of milliseconds
+    # the two batches run_bifurcation makes: the search grid on [0.5, 50]
+    # and the spot check T_star / [2, j_max], whose stiff member sets that
+    # batch's steps; every member is compared
     gs = ground_states[case]
     sf = SpaceForm(*case)
-    grid = np.geomspace(0.5, 50.0, 512)
-    probes = bifurcation_reports[case].t_star / np.arange(2, 65)
-    for periods in (grid, probes):
+    grid = np.geomspace(0.5, 50.0, INITIAL_POINTS)
+    spot = bifurcation_reports[case].t_star / np.array([2.0, J_MAX_DEFAULT])
+    for periods in (grid, spot):
         batched = sigma_reduced(gs, sf, periods)
         assert batched.shape == periods.shape
-        for t_period, value in zip(periods[::4].tolist(), batched[::4].tolist()):
+        for t_period, value in zip(periods.tolist(), batched.tolist()):
             assert value == pytest.approx(sigma_reduced(gs, sf, t_period), rel=1e-9)
 
 
@@ -345,9 +345,9 @@ class TestBatchedClosedForm:
 
     @pytest.mark.parametrize("n,k", [(2, -4.0), (3, 9.5), (3, 9.18)])
     def test_failing_member_raises_its_own_error(self, n, k):
-        # (2, -4): the ground-state degree is conical at C_k(1) = cosh 2 > 3;
-        # (3, 9.5): its Ferrers series reaches the term cap; (3, 9.18): the
-        # ground state passes, and some members reach the term cap
+        # (2, -4): the large-T members' degrees are conical at
+        # C_k(1) = cosh 2 > 3; (3, 9.5): every member's Ferrers series reaches
+        # the term cap; (3, 9.18): only the small-T members reach it
         from cylbif.spectral import ground_state
 
         sf = SpaceForm(n, k)
@@ -381,7 +381,6 @@ class TestRoutePaths:
         import cylbif.radial as radial
 
         gs = ground_states[(2, 1.0)]
-        sigma_closed(gs, SpaceForm(2, 1.0), 2.0)  # closed-form context cached
         solves = self.count_calls(monkeypatch, radial, "solve_ivp")
         sums = self.count_calls(monkeypatch, dispersion, "_first_kind_many")
         rows = scan(gs, SpaceForm(2, 1.0), 0.5, 50.0, 200).rows()
@@ -414,8 +413,9 @@ class TestRoutePaths:
 )
 def test_scan_failing_rows_keep_their_errors(n, k, t_lo):
     # rows the batched closed form cannot evaluate are evaluated on their own,
-    # so the CSV and each row's error equal those of per-point sigma_closed;
-    # the first three fail at the ground state's degree, so every row fails,
+    # so the CSV and each row's error equal those of per-point sigma_closed,
+    # each naming its own degree nu*: every row reaches the term cap at
+    # (3, 9.5) and (2, 9.5), the conical rows are refused at (2, -4), and
     # (3, 9.18) fails only where nu* reaches the term cap
     from cylbif.spectral import ground_state
 
@@ -434,26 +434,3 @@ def test_scan_failing_rows_keep_their_errors(n, k, t_lo):
     assert [s.error for s in curve.samples] == [s.error for s in expected.samples]
     assert any(s.error for s in curve.samples)
     assert curve.csv_text() == expected.csv_text()
-
-
-
-def test_scan_builds_a_failing_closed_form_context_once(monkeypatch):
-    # at (3, 9.5) the context's series reaches the term cap; every
-    # closed-form sample records that one error without building it again
-    import cylbif.dispersion as dispersion
-    from cylbif.spectral import ground_state
-
-    sf = SpaceForm(3, 9.5)
-    gs = ground_state(sf)
-    calls = []
-    real = dispersion._closed_form_context
-
-    def counting(*args):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(dispersion, "_closed_form_context", counting)
-    curve = scan(gs, sf, 0.5, 50.0, 200)
-    assert len(calls) == 1
-    errors = {s.error for s in curve.samples if s.route == "closed_form"}
-    assert len(errors) == 1 and "did not converge" in errors.pop()

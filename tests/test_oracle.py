@@ -14,7 +14,6 @@ from cylbif.oracle import (
     fd_lambda1,
     fd_lambda1_single,
     fd_sigma,
-    fd_sigma_estimate,
     radial_operator_tridiagonal,
 )
 from cylbif.spectral import find_lambda1
@@ -97,8 +96,10 @@ class TestFDSigma:
     def test_mode_rescaling_to_discretization_error(self, ground_states):
         gs = ground_states[(3, -1.0)]
         sf = SpaceForm(3, -1.0)
-        a, bar_a = fd_sigma_estimate(gs, sf, 3.0, 2, 256)
-        b, bar_b = fd_sigma_estimate(gs, sf, 1.5, 1, 256)
+        # value at m = 256 with the m/2 refinement estimate |f_m - f_(m/2)| / 3
+        a, a_half = fd_sigma(gs, sf, 3.0, 2, 256), fd_sigma(gs, sf, 3.0, 2, 128)
+        b, b_half = fd_sigma(gs, sf, 1.5, 1, 256), fd_sigma(gs, sf, 1.5, 1, 128)
+        bar_a, bar_b = abs(a - a_half) / 3.0, abs(b - b_half) / 3.0
         assert abs(a - b) <= 3.0 * (bar_a + bar_b) + 1e-10
 
     def test_vanishes_near_t_star(self, ground_states, bifurcation_reports):
@@ -146,14 +147,3 @@ class TestFDDtN:
         gs = ground_states[(2, 1.0)]
         with pytest.raises(ValueError, match="unknown method"):
             fd_dtn_matrix(gs, SpaceForm(2, 1.0), 2.5, 32, 32, method="magic")
-
-
-def test_matrix_csv_dump(tmp_path):
-    from cylbif.oracle import save_matrix_csv
-
-    matrix = np.array([[1.0, 2.5e-17], [-3.0, 4.0]])
-    path = tmp_path / "matrix.csv"
-    save_matrix_csv(matrix, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 2
-    assert [float(v) for v in lines[0].split(",")] == [1.0, 2.5e-17]

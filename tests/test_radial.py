@@ -108,17 +108,19 @@ class TestSolveRegular:
 
 class TestSeparatedRepresentation:
     """u(r) S_k^(n/2-1) solves the Legendre equation in x = C_k(r):
-    the regular solution must match const * S_k^(1-n/2) P(mu_rep, nu, C_k(r))."""
+    the regular solution must match const * S_k^(-mu) P^(-mu)_nu(C_k(r)),
+    mu = (n-2)/2, for either parity of n."""
 
     @pytest.mark.parametrize(
         "n,k,lam",
-        [(2, -1.0, 5.0), (2, 1.0, 5.0), (3, -1.0, 9.0), (3, 1.0, 6.0), (2, -1.0, 0.8)],
+        [(2, -1.0, 5.0), (2, 1.0, 5.0), (3, -1.0, 9.0), (3, 1.0, 6.0), (2, -1.0, 0.8),
+         (4, -1.0, 5.0)],
     )
     def test_representation_residual(self, n, k, lam):
         sf = SpaceForm(n, k)
         rad = solve_regular(sf, lam)
         mu = (n - 2) / 2.0
-        m0 = mu if n % 2 == 0 else -mu
+        m0 = -mu
         fam = legendre_p if k < 0 else ferrers_p
         nu = Degree.from_spectral(sf, lam)
         r_ref = 0.5
@@ -138,3 +140,14 @@ class TestSeparatedRepresentation:
         for r in (0.2, 0.5, 0.8, 1.0):
             exact = math.sin(kappa * r) / (kappa * s_k(sf, r))
             assert rad.value(r) == pytest.approx(exact, rel=1e-10)
+
+
+def test_representation_gives_the_ground_state_dphi1():
+    # both sigma routes take phi'(1) from the ground state; verify's radial
+    # group checks it against the closed-form representation matched at r = 0.5
+    from cylbif.verify import run_checks
+
+    cases = ((4, -1.0), (6, -1.5), (12, -0.5), (2, -2.9), (3, 8.85))
+    results = run_checks(groups=("radial",), cases=cases)
+    assert "representation-dphi1" in [r.name for r in results]
+    assert [r.name for r in results if not r.passed] == []
