@@ -18,7 +18,11 @@ Math. 229, 2012).  Hence:
 find_sigma_zeros brackets the one zero on a grid, checks the grid for
 strict decrease and refines the single sign-change cell.  run_bifurcation
 takes the kernel and parity as certificates and spot-checks them at
-T_star / 2 and T_star / j_max.
+T_star / 2 and T_star / j_max.  The second probe sits at
+Lam = lambda1 - (2 pi j_max / T_star)^2, kappa = sqrt(-Lam) ~ 100-1000,
+where the radial solve is stiff and may overflow; sigma_reduced takes it
+from the Liouville-Green expansion of w'/w instead (dispersion lays out the
+acceptance rule), so only T_star / 2 is a radial solve.
 """
 
 import math

@@ -9,7 +9,10 @@ whose regular solution w gives sigma_j(T) = -phi'(1) g(Lam_j), with the
 reduced curve g = w'(1)/w(1) + (n-1) C_k(1)/S_k(1).  Two independent routes
 evaluate g:
 
-* ``sigma_ode``     -- solve the shifted radial ODE for w;
+* ``sigma_ode``     -- solve the shifted radial ODE for w, or, for
+                       Lam_j = -kappa^2 deep enough that the solve is
+                       stiff, take g from the Liouville-Green expansion
+                       (radial.liouville_green);
 * ``sigma_closed``  -- w = S_k^(-mu) P^(-mu)_nu*(C_k(r)), mu = (n-2)/2, with
                        Legendre (k < 0) or Ferrers (k > 0) functions of degree
                        nu* = -1/2 + sqrt((n-1)^2/4 + Lam_j/k).  The identity
@@ -24,11 +27,21 @@ once.  Agreement between the routes at every (T, j) is the package's central
 correctness property.  Each route has one outcome path (_ode_outcomes,
 _closed_outcomes) that takes the periods (for error texts) with their Lam_j
 and yields, member by member, g or the exception that member's own
-evaluation raises.  Two or more members are one batched radial solve, or one
-vectorized series summation per order bit-equal to the scalar evaluation; a
-single member, and a member the batch could not evaluate, is evaluated on
-its own.  The public functions raise the first failing member's error; a
-scan records each in its sample.
+evaluation raises.
+
+On the ODE route, each member first meets the Liouville-Green acceptance
+rule: kappa = sqrt(-Lam_j) >= 20, where the neglected recessive solution is
+below e^(-40), and the last two of the 13 terms in 1/kappa below 1e-14 |g|,
+under the integrator's rtol of 1e-12.  An accepted member takes that value,
+the same alone as in any batch; it is what keeps the integrator away from
+the stiff, overflowing solves at small T / j.  The remaining members, two or
+more, are one batched radial solve; a single one, and each member of a
+failed batch, is solved on its own.  On the closed-form route two or more
+members are one vectorized series summation per order, bit-equal to the
+scalar evaluation; a single member, and a member the batch could not
+evaluate, is evaluated on its own, and a value that overflows is a
+ConvergenceError.  The public functions raise the first failing member's
+error; a scan records each in its sample.
 """
 
 import math
@@ -40,7 +53,7 @@ from .errors import ConvergenceError, DegeneracyError
 from .geometry import SpaceForm, c_k, radial_drift, s_k
 from .spectral import GroundState
 from .specfun import Degree, _first_kind_many, ferrers_p, legendre_p
-from .radial import shoot
+from .radial import liouville_green, shoot
 
 AGREEMENT_RTOL = 1e-7
 T_HI_CAP = 200.0
@@ -88,12 +101,19 @@ def _evaluate(outcomes, gs: GroundState, sf: SpaceForm, t_period, j: int):
 
 def _ode_outcomes(sf: SpaceForm, periods: list, lams: list, j: int):
     """The reduced form of each member in order, or the exception its own
-    solve raises.  Two or more members are one batched solve; a single
-    member, and each member of a failed batch, is solved on its own.  An
+    solve raises.  A member that radial.liouville_green accepts takes its
+    value.  The others are solved: two or more in one batched solve; a
+    single one, and each member of a failed batch, on its own.  An
     overflowing solve fails with its ConvergenceError alone: floating-point
     warnings are silenced for each solve, never across a yield."""
-    boundary = _shoot_batch(sf, lams) if len(lams) > 1 else [None]
-    for t_period, lam, wb in zip(periods, lams, boundary):
+    asymptotic = liouville_green(sf, np.array(lams)).tolist()
+    solved = [lam for lam, g in zip(lams, asymptotic) if math.isnan(g)]
+    boundary = iter(_shoot_batch(sf, solved) if len(solved) > 1 else [None])
+    for t_period, lam, g in zip(periods, lams, asymptotic):
+        if not math.isnan(g):
+            yield g
+            continue
+        wb = next(boundary)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 w1, dw1 = wb or shoot(sf, lam)
@@ -156,8 +176,9 @@ def _closed_outcomes(sf: SpaceForm, periods: list, lams: list, j: int):
     """The reduced curve of each member in order, or the exception its own
     evaluation raises.  Two or more members are one series summation per
     order, the raised order only where the denominator is usable; a single
-    member, and each member the summation leaves NaN (a failed series, a
-    vanishing denominator), is evaluated on its own."""
+    member, and each member the summation leaves non-finite (a failed series,
+    a vanishing denominator, an overflow), is evaluated on its own.  A value
+    that is still not finite there is a ConvergenceError naming the overflow."""
     order = -(sf.n - 2) / 2.0  # -mu
     x1 = c_k(sf, 1.0)
     batch = [math.nan]
@@ -171,7 +192,7 @@ def _closed_outcomes(sf: SpaceForm, periods: list, lams: list, j: int):
             batch = _g_closed(sf, den, up).tolist()
     fam = legendre_p if sf.k < 0 else ferrers_p
     for t_period, lam, outcome in zip(periods, lams, batch):
-        if math.isnan(outcome):
+        if not math.isfinite(outcome):
             try:
                 nu_star = Degree.from_spectral(sf, lam)
                 den = fam(order, nu_star, x1)
@@ -179,7 +200,13 @@ def _closed_outcomes(sf: SpaceForm, periods: list, lams: list, j: int):
                     raise DegeneracyError(
                         f"closed-form denominator vanished at T={t_period}, j={j}"
                     )
-                outcome = _g_closed(sf, den, fam(order + 1.0, nu_star, x1))
+                up = fam(order + 1.0, nu_star, x1)
+                outcome = _g_closed(sf, den, up)
+                if not math.isfinite(outcome):
+                    raise ConvergenceError(
+                        f"closed form overflows at T={t_period}, j={j}: "
+                        f"P^(-mu)_nu* = {den!r}, P^(-mu+1)_nu* = {up!r}"
+                    )
             except Exception as exc:  # the member's own outcome
                 outcome = exc
         yield outcome

@@ -6,8 +6,24 @@ expansion and continued to r = 1 with an adaptive high-order Runge-Kutta
 integrator.  The same engine serves the ground-state profile (lam = lambda1)
 and the mode equations (lam = lambda1 - (2 pi j / T)^2); a whole array of
 mode parameters is integrated as one stacked linear system.
+
+For lam = -kappa^2 with large kappa the integrator is stiffness-bound, and
+liouville_green gives the boundary log-derivative from the Liouville-Green
+(WKB) expansion instead (Olver, Asymptotics and Special Functions, 1974,
+ch. 6 and 10).  With d = (n-1) t, t = C_k/S_k, the Riccati equation
+q' + q^2 + d q = kappa^2 of q = w'/w has the formal solution
+
+    q = kappa + sum_m q_m kappa^(-m),  q_0 = -d/2,
+    q_(m+1) = -(q_m' + d q_m + sum_(i=0..m) q_i q_(m-i)) / 2,
+
+the branch that grows like e^(kappa r).  Since t' = -k - t^2, each q_m is a
+polynomial in t, evaluated at r = 1 once per space form.  The series cannot
+see the recessive solution, a relative error of order e^(-2 kappa), so a
+member is accepted only for kappa >= LG_KAPPA_MIN and only where the last
+two of its LG_TERMS + 1 terms are below LG_TAIL_RTOL.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,12 +32,18 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import ConvergenceError
-from .geometry import SpaceForm
+from .geometry import SpaceForm, c_k, s_k
 
 DEFAULT_DELTA = 1e-6
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 PROFILE_POINTS = 512
+
+# Liouville-Green acceptance: e^(-2 kappa) < 5e-18 at the floor, and a tail
+# below DOP853's rtol
+LG_KAPPA_MIN = 20.0
+LG_TERMS = 12
+LG_TAIL_RTOL = 1e-14
 
 
 def _series_coeffs(sf: SpaceForm, lam: float) -> tuple[float, float]:
@@ -96,6 +118,47 @@ def shoot(
     if np.ndim(lam):
         return u1, du1
     return float(u1[0]), float(du1[0])
+
+
+@functools.cache
+def _lg_coefficients(sf: SpaceForm) -> np.ndarray:
+    """a_m with g = kappa + sum_(m=0..LG_TERMS) a_m kappa^(-m): a_0 = d(1)/2,
+    a_m = q_m(1) for m >= 1 (g = q(1) + d(1) folds d(1) into a_0).
+
+    Each q_m is a polynomial of degree m + 1 in t (d/dr acts as
+    -(k + t^2) d/dt), evaluated at t(1) = C_k(1)/S_k(1) only at the end: the
+    terms that cancel identically (all of them beyond q_0 at n = 3) cancel in
+    the coefficients, not in values of size t(1)^(m+1).
+    """
+    dt = np.array([-sf.k, 0.0, -1.0])  # t' = -k - t^2
+    d = np.array([0.0, sf.n - 1.0])
+    q = [-0.5 * d]  # ascending coefficients in t
+    for m in range(LG_TERMS):
+        deriv = np.convolve(q[m][1:] * np.arange(1.0, m + 2), dt)
+        square = sum(np.convolve(q[i], q[m - i]) for i in range(m + 1))
+        q.append(-0.5 * (deriv + np.convolve(d, q[m]) + square))
+    t1 = c_k(sf, 1.0) / s_k(sf, 1.0)
+    return np.array([(sf.n - 1) * t1 / 2.0] + [np.polyval(qm[::-1], t1) for qm in q[1:]])
+
+
+def liouville_green(sf: SpaceForm, lam: float | np.ndarray) -> float | np.ndarray:
+    """The reduced curve g = w'(1)/w(1) + (n-1) C_k(1)/S_k(1) of the regular
+    solution at lam = -kappa^2 by the Liouville-Green expansion, or NaN where
+    it is refused: kappa < LG_KAPPA_MIN, or its last two terms above
+    LG_TAIL_RTOL |g|.  Elementwise for an ndarray lam; each member's value is
+    the one it gets alone."""
+    a = _lg_coefficients(sf)
+    lam = np.asarray(lam, dtype=float)
+    kappa = np.sqrt(np.maximum(-lam, LG_KAPPA_MIN**2))
+    inv = 1.0 / kappa
+    series = np.full(kappa.shape, a[-1])
+    for coeff in a[-2::-1]:  # Horner in 1/kappa
+        series = series * inv + coeff
+    g = kappa + series
+    tail = (abs(a[-2]) + abs(a[-1]) * inv) * inv ** (LG_TERMS - 1)
+    accept = (lam <= -(LG_KAPPA_MIN**2)) & (tail <= LG_TAIL_RTOL * np.abs(g))
+    out = np.where(accept, g, np.nan)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(eq=False)

@@ -11,8 +11,8 @@ from cylbif.bifurcation import (
     find_sigma_zeros,
     run_bifurcation,
 )
-from cylbif.dispersion import sigma_reduced
-from cylbif.errors import ConvergenceError, NumericalError
+from cylbif.dispersion import shifted_lambda, sigma_reduced
+from cylbif.errors import NumericalError
 from cylbif.geometry import SpaceForm
 from cylbif.spectral import ground_state
 
@@ -31,9 +31,6 @@ REFERENCE_T_STAR = {
     (3, 8.4): 0.519667368760838,
     (3, 8.85): 0.349894337743975,
 }
-# run_bifurcation fails on these (the solve at T_star / j_max overflows);
-# their T_star comes from the search alone
-SEARCH_ONLY = ((12, 7.0), (3, 8.4), (3, 8.85))
 
 
 class TestFindSigmaZerosSynthetic:
@@ -195,12 +192,29 @@ class TestRealPipeline:
         assert len(calls) <= 10
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_overflowing_kernel_probes_raise_the_per_probe_error():
-    # at (3, 8.4) the kernel probes T_star/j overflow from j = 58 on, which
-    # fails the batched solve as a whole; the batch must raise the error of
-    # its first failing member, as one solve per probe does
+def test_spot_check_at_j_max_makes_no_radial_solve(ground_states, monkeypatch):
+    # the member T_star / j_max is taken by Liouville-Green, so every solve
+    # of the case stays above its Lam
+    import cylbif.dispersion as dispersion
+
+    solved = []
+    real_shoot = dispersion.shoot
+
+    def recording(sf, lam, *args, **kwargs):
+        solved.extend(np.atleast_1d(lam).tolist())
+        return real_shoot(sf, lam, *args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "shoot", recording)
+    gs, sf = ground_states[(2, 1.0)], SpaceForm(2, 1.0)
+    rep = run_bifurcation(gs, sf)
+    assert min(solved) > shifted_lambda(gs, rep.t_star / rep.j_max, 1)
+
+
+def test_deep_kernel_probes_match_the_exact_curve():
+    # at (3, 8.4) the kernel probes T_star/j reach kappa = sqrt(-Lam) ~ 700,
+    # where the DOP853 solve overflows from j = 58 on; the Liouville-Green
+    # route takes them, batched equal to per-probe, on the exact n = 3 curve
+    # g = p coth p + C_k(1)/S_k(1), p = sqrt(-(Lam + k))
     sf = SpaceForm(3, 8.4)
     gs = ground_state(sf)
 
@@ -209,12 +223,13 @@ def test_overflowing_kernel_probes_raise_the_per_probe_error():
 
     t_star = find_sigma_zeros(producer, 0.5, 50.0)[0].t0
     probes = t_star / np.arange(57, 65)  # the deepest probes of j_max = 64
-    with pytest.raises(ConvergenceError) as per_probe:
-        for t_period in probes.tolist():
-            producer(t_period)
-    with pytest.raises(ConvergenceError) as batched:
-        producer(probes)
-    assert str(batched.value) == str(per_probe.value)
+    per_probe = [producer(t_period) for t_period in probes.tolist()]
+    assert producer(probes).tolist() == per_probe
+    root = math.sqrt(sf.k)
+    for t_period, g in zip(probes.tolist(), per_probe):
+        p = math.sqrt(-(shifted_lambda(gs, t_period, 1) + sf.k))
+        exact = p / math.tanh(p) + root / math.tan(root)
+        assert abs(g - exact) <= 1e-13 * abs(exact)
 
 
 def test_kernel_scale_identity(ground_states, bifurcation_reports):
@@ -271,8 +286,6 @@ def test_t_star_matches_the_reference(case, reference_ground_states, bifurcation
     gs, sf = reference_ground_states[case], SpaceForm(*case)
     if case in bifurcation_reports:
         t_star = bifurcation_reports[case].t_star
-    elif case in SEARCH_ONLY:
-        t_star = find_sigma_zeros(lambda t: sigma_reduced(gs, sf, t), 0.5, 50.0)[0].t0
     else:
         t_star = run_bifurcation(gs, sf).t_star
     reference = REFERENCE_T_STAR[case]

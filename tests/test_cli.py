@@ -76,8 +76,9 @@ class TestScan:
         assert [row.split(",")[5] == "nan" for row in rows] == [False, True, True]
 
     def test_overflow_prints_one_stderr_line(self, capsys):
-        # at T <~ 0.009 the regular solution overflows before r = 1; the
-        # failing rows' solves must not print floating-point warnings
+        # at T <= 0.0077 both closed-form Legendre/Ferrers values overflow;
+        # the failing rows must print no floating-point warnings, and the
+        # one stderr line names the overflow
         argv = ("scan", "--n", "2", "--k", "1", "--tlo", "0.004", "--thi", "0.04",
                 "--points", "8")
         with warnings.catch_warnings(record=True) as caught:
@@ -86,7 +87,8 @@ class TestScan:
         assert code == 1
         assert [str(w.message) for w in caught] == []
         assert err.count("\n") == 1
-        assert err.startswith("3/8 rows disagree; first at T=0.004: radial integration failed")
+        assert err.startswith("3/8 rows disagree; first at T=0.004: closed form overflows at "
+                              "T=0.004, j=1")
 
     def test_single_point_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -110,6 +112,12 @@ class TestBifurcate:
         assert 1 in payload["kernel_modes"]
         code, out2, _ = run_cli(capsys, *args)
         assert out1 == out2  # byte-identical repeated run
+
+    def test_deep_kernel_probe(self, capsys):
+        # T_star ~ 0.52 puts the probe at T_star/64 at sqrt(-Lam) ~ 770
+        code, out, _ = run_cli(capsys, "bifurcate", "--n", "3", "--k", "8.4")
+        assert code == 0
+        assert json.loads(out)["kernel_modes"] == [1]
 
     def test_profile_output(self, capsys, tmp_path):
         profile_path = tmp_path / "profile.csv"

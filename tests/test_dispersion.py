@@ -249,29 +249,32 @@ def test_scan_records_per_sample_failures_inline(ground_states, monkeypatch):
     assert all(r["agree_flag"] for r in rows if not r["error"])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_scan_isolates_overflowing_members(ground_states):
-    # at T <~ 0.009 the regular solution overflows before r = 1, which fails
-    # the batched solve as a whole; every row must still match its own solve
+    # at T <~ 0.009 the DOP853 solution overflows before r = 1, and at
+    # T <= 0.0077 so do both closed-form Legendre/Ferrers values; the ODE
+    # route takes these rows by Liouville-Green, and every row must match
+    # its own evaluation, the overflowing closed form with its own error
     from cylbif.errors import ConvergenceError
 
     gs = ground_states[(2, 1.0)]
     sf = SpaceForm(2, 1.0)
     rows = scan(gs, sf, 0.004, 0.04, 4).rows()
-    failed = 0
+    overflowed = 0
     for row in rows:
+        assert math.isfinite(row["sigma_ode"])
+        assert row["sigma_ode"] == sigma_ode(gs, sf, row["T"])
         try:
-            expected = sigma_ode(gs, sf, row["T"])
+            closed = sigma_closed(gs, sf, row["T"])
         except ConvergenceError as exc:
-            failed += 1
+            overflowed += 1
+            assert "overflows" in str(exc)
             assert row["error"] == str(exc)
             assert not row["agree_flag"]
         else:
             assert row["error"] is None
-            assert row["sigma_ode"] == expected
+            assert row["sigma_cf"] == closed
             assert row["agree_flag"]
-    assert 0 < failed < len(rows)
+    assert 0 < overflowed < len(rows)
 
 
 def test_overflowing_batch_prints_no_warnings(ground_states):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cylbif.geometry import SpaceForm, c_k, s_k
+from cylbif.geometry import SpaceForm, c_k, radial_drift, s_k
 from cylbif.radial import (
+    LG_KAPPA_MIN,
     first_zero,
     frobenius_start,
+    liouville_green,
     rk4_shoot,
     shoot,
     solve_regular,
@@ -151,3 +153,52 @@ def test_representation_gives_the_ground_state_dphi1():
     results = run_checks(groups=("radial",), cases=cases)
     assert "representation-dphi1" in [r.name for r in results]
     assert [r.name for r in results if not r.passed] == []
+
+
+class TestLiouvilleGreen:
+    @pytest.mark.parametrize("k", [1.0, -1.0, 8.4])
+    @pytest.mark.parametrize("kappa", [50.0, 200.0, 1000.0, 5000.0])
+    def test_exact_n3_curve(self, k, kappa):
+        # n = 3: w = sinh(p r)/S_k(r), so g = p coth p + C_k(1)/S_k(1) with
+        # p = sqrt(kappa^2 - k)
+        sf = SpaceForm(3, k)
+        p = math.sqrt(kappa**2 - k)
+        exact = p / math.tanh(p) + c_k(sf, 1.0) / s_k(sf, 1.0)
+        g = liouville_green(sf, -(kappa**2))
+        assert abs(g - exact) <= 1e-14 * abs(exact)
+
+    @pytest.mark.parametrize(
+        "n,k,lam,reference",
+        [
+            (12, 7.0, -1.1e6, 1022.1691706700654933),
+            (2, -1000.0, -1e5, 332.43419228059317193),
+        ],
+    )
+    def test_forty_digit_references(self, n, k, lam, reference):
+        # mpmath at 40 digits, through the Legendre/Ferrers representation
+        g = liouville_green(SpaceForm(n, k), lam)
+        assert abs(g - reference) <= 2e-16 * reference
+
+    @pytest.mark.parametrize("n,k", [(2, 1.0), (2, -1.0), (4, 3.5), (6, -1.5), (12, -0.5)])
+    def test_agrees_with_the_integrator(self, n, k):
+        sf = SpaceForm(n, k)
+        lams = -np.geomspace(LG_KAPPA_MIN, 300.0, 8) ** 2
+        values = liouville_green(sf, lams)
+        accepted = np.flatnonzero(~np.isnan(values))
+        assert accepted.size >= 3 and accepted[-1] == len(lams) - 1
+        for i in accepted.tolist():
+            w1, dw1 = shoot(sf, lams[i])
+            integrated = dw1 / w1 + radial_drift(sf, 1.0)
+            assert abs(values[i] - integrated) <= 1e-12 * abs(integrated)
+            assert liouville_green(sf, lams[i]) == values[i]  # batch = alone
+
+    def test_refusals(self):
+        # below the kappa floor the recessive solution is not negligible; at
+        # (12, 7) with kappa = 34 the last two terms are 5e-3 of g (the value
+        # is 5e-4 off); at (3, -1000) with kappa = 20 the series diverges
+        sf = SpaceForm(3, 1.0)
+        assert not math.isnan(liouville_green(sf, -(LG_KAPPA_MIN**2)))
+        assert math.isnan(liouville_green(sf, -((LG_KAPPA_MIN * (1.0 - 1e-12)) ** 2)))
+        assert math.isnan(liouville_green(sf, 5.0))
+        assert math.isnan(liouville_green(SpaceForm(12, 7.0), -(34.0**2)))
+        assert math.isnan(liouville_green(SpaceForm(3, -1000.0), -(LG_KAPPA_MIN**2)))
