@@ -83,8 +83,8 @@ def find_sigma_zeros(
     spectral.bracketed_root (safeguarded Illinois regula falsi) to width at
     most ZERO_WIDTH_REL * T0, so width is a certified bracket.
     """
-    if not 0.0 < t_lo < t_hi:
-        raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
+    if not 0.0 < t_lo < t_hi < math.inf:
+        raise ValueError(f"need 0 < t_lo < t_hi < inf, got t_lo={t_lo}, t_hi={t_hi}")
     grid = np.geomspace(t_lo, t_hi, initial_points)
     vals = np.full(grid.shape, producer(grid), dtype=float)
     t, v = grid.tolist(), vals.tolist()
@@ -164,8 +164,8 @@ def domain_profile(
     epsilon = 0 returns the unperturbed cylinder.
     """
     check_profile_args(epsilon, samples)
-    if t_star <= 0.0:
-        raise ValueError(f"period must be positive, got {t_star}")
+    if not 0.0 < t_star < math.inf:
+        raise ValueError(f"period must be positive and finite, got {t_star}")
     t = np.arange(samples) * (t_star / samples)
     rho = 1.0 + epsilon * np.cos(2.0 * math.pi * t / t_star)
     return DomainProfile(t_star=t_star, epsilon=epsilon, t=t, rho=rho, n=n, k=k)

@@ -1,12 +1,14 @@
 """Command-line interface: eigen, scan, bifurcate, profile, verify.
 
-Exit codes: 0 success, 1 numerical failure, 2 usage error.  Options may be
-preloaded from a key=value config file (--config) and overridden on the
-command line.  Outputs are deterministic for identical configuration: JSON
-keys are sorted and floats use shortest round-trip formatting.
+Exit codes: 0 success, 1 numerical failure, 2 usage error.  Options of the
+subcommand may be preloaded from a key=value config file (--config), each
+key one of them, and overridden on the command line.  Outputs are
+deterministic for identical configuration: JSON keys are sorted and floats
+use shortest round-trip formatting.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +23,7 @@ from .verify import DEFAULT_CASES, GROUPS, run_checks
 
 
 def _load_config(path: str) -> dict:
-    """Parse a key=value config file; '#' starts a comment."""
+    """Parse a key=value config file; '#' starts a comment, JSON values are typed."""
     out = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -31,6 +33,10 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError:
+            pass
         out[key.replace("-", "_")] = value
     return out
 
@@ -225,10 +231,19 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p_ver.set_defaults(func=cmd_verify)
 
     if config_defaults:
-        # subparsers parse into a fresh namespace, so defaults must live there
+        # subparsers parse into a fresh namespace, so defaults must live there;
+        # a key that no option of the chosen subcommand takes fails the run
         for p in (p_eigen, p_scan, p_bif, p_prof, p_ver):
             p.set_defaults(**config_defaults)
+            options = {action.dest for action in p._actions}
+            stray = [key for key in config_defaults if key not in options]
+            if stray:
+                p.set_defaults(func=functools.partial(_reject_config_key, stray[0], p.prog))
     return parser
+
+
+def _reject_config_key(key: str, prog: str, args):
+    raise ValueError(f"--config key {key!r} is not an option of {prog}")
 
 
 def main(argv=None) -> int:
@@ -238,20 +253,14 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(prog="cylbif", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     config_path = pre.parse_known_args(argv)[0].config
-    converted = None
+    config = None
     if config_path is not None:
         try:
-            cfg = _load_config(config_path)
+            config = _load_config(config_path)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        converted = {}
-        for key, value in cfg.items():
-            try:
-                converted[key] = json.loads(value)
-            except json.JSONDecodeError:
-                converted[key] = value
-    parser = build_parser(converted)
+    parser = build_parser(config)
 
     try:
         args = parser.parse_args(argv)

@@ -36,12 +36,12 @@ under the integrator's rtol of 1e-12.  An accepted member takes that value,
 the same alone as in any batch; it is what keeps the integrator away from
 the stiff, overflowing solves at small T / j.  The remaining members, two or
 more, are one batched radial solve; a single one, and each member of a
-failed batch, is solved on its own.  On the closed-form route two or more
-members are one vectorized series summation per order, bit-equal to the
-scalar evaluation; a single member, and a member the batch could not
-evaluate, is evaluated on its own, and a value that overflows is a
-ConvergenceError.  The public functions raise the first failing member's
-error; a scan records each in its sample.
+failed batch, is solved on its own.  On the closed-form route each order
+is one specfun._first_kind_many call, which sums each member's series once
+and returns its value or its own error; a vanishing denominator is a
+DegeneracyError and a value that overflows a ConvergenceError.  The public
+functions raise the first failing member's error; a scan records each in
+its sample.
 """
 
 import math
@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ConvergenceError, DegeneracyError
 from .geometry import SpaceForm, c_k, radial_drift, s_k
 from .spectral import GroundState
-from .specfun import Degree, _first_kind_many, ferrers_p, legendre_p
+from .specfun import Degree, _first_kind_many
 from .radial import liouville_green, shoot
 
 AGREEMENT_RTOL = 1e-7
@@ -166,49 +166,31 @@ def sigma_closed(
     return -gs.dphi1 * _evaluate(_closed_outcomes, gs, sf, t_period, j)
 
 
-def _g_closed(sf: SpaceForm, den, up):
-    """The reduced curve from P^(-mu)_nu*(x1) (den) and P^(-mu+1)_nu*(x1)
-    (up), floats or ndarrays alike."""
-    return math.sqrt(abs(sf.k)) * up / den + c_k(sf, 1.0) / s_k(sf, 1.0)
-
-
 def _closed_outcomes(sf: SpaceForm, periods: list, lams: list, j: int):
     """The reduced curve of each member in order, or the exception its own
-    evaluation raises.  Two or more members are one series summation per
-    order, the raised order only where the denominator is usable; a single
-    member, and each member the summation leaves non-finite (a failed series,
-    a vanishing denominator, an overflow), is evaluated on its own.  A value
-    that is still not finite there is a ConvergenceError naming the overflow."""
+    evaluation raises: its series' error, then a DegeneracyError where the
+    denominator vanishes, then a ConvergenceError naming the overflow.  Each
+    order is one _first_kind_many call, the raised one where den is usable."""
     order = -(sf.n - 2) / 2.0  # -mu
     x1 = c_k(sf, 1.0)
-    batch = [math.nan]
-    if len(lams) > 1:
-        nus = [Degree.from_spectral(sf, lam).value for lam in lams]
-        den = _first_kind_many(order, nus, x1)
-        usable = np.flatnonzero(~np.isnan(den) & (den != 0.0))
-        up = np.full(len(nus), np.nan)
-        up[usable] = _first_kind_many(order + 1.0, [nus[i] for i in usable.tolist()], x1)
-        with np.errstate(all="ignore"):
-            batch = _g_closed(sf, den, up).tolist()
-    fam = legendre_p if sf.k < 0 else ferrers_p
-    for t_period, lam, outcome in zip(periods, lams, batch):
-        if not math.isfinite(outcome):
-            try:
-                nu_star = Degree.from_spectral(sf, lam)
-                den = fam(order, nu_star, x1)
-                if den == 0.0:
-                    raise DegeneracyError(
-                        f"closed-form denominator vanished at T={t_period}, j={j}"
-                    )
-                up = fam(order + 1.0, nu_star, x1)
-                outcome = _g_closed(sf, den, up)
-                if not math.isfinite(outcome):
-                    raise ConvergenceError(
-                        f"closed form overflows at T={t_period}, j={j}: "
-                        f"P^(-mu)_nu* = {den!r}, P^(-mu+1)_nu* = {up!r}"
-                    )
-            except Exception as exc:  # the member's own outcome
-                outcome = exc
+    root, cot = math.sqrt(abs(sf.k)), x1 / s_k(sf, 1.0)
+    nus = [Degree.from_spectral(sf, lam).value for lam in lams]
+    dens = _first_kind_many(order, nus, x1)
+    usable = [i for i, den in enumerate(dens) if not isinstance(den, Exception) and den != 0.0]
+    ups = dict(zip(usable, _first_kind_many(order + 1.0, [nus[i] for i in usable], x1)))
+    for i, (t_period, den) in enumerate(zip(periods, dens)):
+        up = ups.get(i, den)  # den's own error where up was not summed
+        if den == 0.0:
+            outcome = DegeneracyError(f"closed-form denominator vanished at T={t_period}, j={j}")
+        elif isinstance(up, Exception):
+            outcome = up
+        else:
+            outcome = root * up / den + cot
+            if not math.isfinite(outcome):
+                outcome = ConvergenceError(
+                    f"closed form overflows at T={t_period}, j={j}: "
+                    f"P^(-mu)_nu* = {den!r}, P^(-mu+1)_nu* = {up!r}"
+                )
         yield outcome
 
 

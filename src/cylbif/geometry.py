@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SpaceForm:
-    """Ambient geometry: dimension n >= 2 and curvature k != 0.
+    """Ambient geometry: dimension n >= 2 and finite curvature k != 0.
 
     For k > 0 the space closes up at radius pi/sqrt(k); the unit geodesic
     ball must fit, which bounds k < pi^2.
@@ -25,8 +25,8 @@ class SpaceForm:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"dimension must satisfy n >= 2, got n={self.n}")
-        if self.k == 0:
-            raise ValueError("curvature k must be nonzero (flat case excluded)")
+        if not math.isfinite(self.k) or self.k == 0:
+            raise ValueError(f"curvature k must be finite and nonzero, got k={self.k}")
         if self.k > 0 and not 1.0 < math.pi / math.sqrt(self.k):
             raise ValueError(
                 f"unit ball does not fit: need pi/sqrt(k) > 1, got k={self.k} "

@@ -20,10 +20,10 @@ Direct summation converges for |1-x|/2 < 1.  Beyond that (x > 2.5, reached
 by the dispersion route at k < ~-2.456) a Pfaff transformation moves the
 argument to (x-1)/(x+1) < 1, at the price of requiring a real degree.  One
 plan, _series_plan, fixes for each (m, nu, x) the prefactor, the form (direct,
-Pfaff, or refused) and the series arguments; the scalar legendre_p/ferrers_p
-and the batched _first_kind_many both follow it.  Both real forms are summed
-by one kernel, _hyp_real; the complex olver_hyp is the reference behind
-legendre_q and the realness checks.
+Pfaff, or refused) and the series arguments; _first_kind_many follows it for
+a list of degrees, and legendre_p/ferrers_p are its one-member case.  Both
+real forms are summed by one kernel, _hyp_real; the complex olver_hyp is the
+reference behind legendre_q and the realness checks.
 """
 
 import cmath
@@ -177,16 +177,14 @@ def _hyp_real(h, beta, c: float, z):
     terms vanish and summation starts at s = 1 - c.
 
     Any of h, beta and z may be an ndarray, the three broadcast together
-    (c stays scalar): the members are then summed side by side, each with
-    the float operations and the stopping rule of the scalar loop, so each
-    is bit-equal to its scalar sum; a member that reaches the term cap is
-    NaN instead of raising.  The scalar loop stays for float arguments,
-    since one member costs ~50x more through the array loop.
+    (c stays scalar): _hyp_real_array sums them, a member at the term cap NaN
+    instead of raising.  The scalar loop stays for float arguments, since one
+    member costs ~50x more through the array loop.
     """
     # isinstance, not np.ndim: np.ndim of a float costs ~1-2 us, a third of
     # a short scalar series
     if isinstance(beta, np.ndarray) or isinstance(h, np.ndarray) or isinstance(z, np.ndarray):
-        return _hyp_real_array(h, beta, c, z)
+        return _hyp_real_array(h, beta, c, z)[0]
     s0 = _first_index(c)
     term = _first_term(h, beta, c, z, s0)
     total = term
@@ -212,10 +210,11 @@ def _hyp_real(h, beta, c: float, z):
     )
 
 
-def _hyp_real_array(h, beta, c: float, z) -> np.ndarray:
+def _hyp_real_array(h, beta, c: float, z) -> tuple[np.ndarray, dict]:
     """_hyp_real over broadcast ndarrays: numpy across the members, the loop
-    over s sequential.  A member leaves the active set, its total frozen, at
-    the step where the scalar loop would return."""
+    over s sequential, each member bit-equal to its scalar sum (same float
+    operations and stopping rule).  Returns the sums, NaN for a member at the
+    term cap, and {flat index: the scalar error's residual} of those."""
     parts = [np.asarray(a, dtype=float) for a in (h, beta, z)]
     shape = np.broadcast_shapes(*(a.shape for a in parts))
     members = [np.broadcast_to(a, shape).ravel() for a in parts]
@@ -242,9 +241,8 @@ def _hyp_real_array(h, beta, c: float, z) -> np.ndarray:
             term *= (q * q - beta) * z
             term /= (c + s) * (s + 1.0)
             total += term
-            # unlike the scalar max, a NaN total makes largest NaN; the
-            # member ends NaN under either rule, since its total stays NaN
-            np.maximum(largest, np.abs(total), out=largest)
+            # fmax, like the scalar max, keeps largest where the total is NaN
+            np.fmax(largest, np.abs(total), out=largest)
             quiet += 1
             quiet *= np.abs(term) <= _TERM_CUTOFF * largest
             stop = quiet >= _QUIET_TERMS
@@ -255,7 +253,8 @@ def _hyp_real_array(h, beta, c: float, z) -> np.ndarray:
                     a[live] for a in (index, term, total, largest, quiet)
                 )
                 h, beta, z = (a[live] if np.ndim(a) else a for a in (h, beta, z))
-    return out.reshape(shape)
+        residual = np.where(largest > 0, np.abs(term) / largest, math.inf)
+    return out.reshape(shape), dict(zip(index.tolist(), residual.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -364,37 +363,46 @@ def _series_plan(m: float, nu: complex, x: float) -> tuple:
 
 
 def _first_kind(m: float, nu: complex, x: float) -> float:
-    """P^m_nu(x) by its series plan, for the domain-checked scalar functions."""
-    prefactor, scale, h, beta, z, form = _series_plan(m, nu, x)
-    try:
-        total = _hyp_real(h, beta, 1.0 - m, z)
-    except ConvergenceError as exc:
-        name, degree, arg_name, arg = form
-        raise ConvergenceError(
-            f"{name}-form {exc} (nu={degree}, c={1.0 - m}, {arg_name}={arg})",
-            residual=exc.residual,
-        ) from None
-    return prefactor * (scale * total)
+    """P^m_nu(x) for the domain-checked scalar functions: raises its error."""
+    (outcome,) = _first_kind_many(m, [nu], x)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def _first_kind_many(m: float, nus: list[complex], x: float) -> np.ndarray:
+def _first_kind_many(m: float, nus: list[complex], x: float) -> list:
     """legendre_p (x > 1) or ferrers_p (-1 < x < 1) of order m at one x for a
-    list of degrees, in one _hyp_real call, each member bit-equal to the scalar
-    function.  A member the plan refuses (a conical degree at x >= 3) or whose
-    series fails (the term cap) is NaN.
-    """
-    out = np.full(len(nus), np.nan)
-    summed, plans = [], []
-    for i, nu in enumerate(nus):
+    list of degrees: per member its value or its own error, the plan's
+    refusal (ValueError) or the term cap (ConvergenceError naming the form).
+    Each series is summed once, a single one by the scalar _hyp_real loop,
+    two or more in one _hyp_real_array call, bit-equal either way."""
+    c = 1.0 - m
+    outcomes = []
+    for nu in nus:
         try:
-            plans.append(_series_plan(m, nu, x)[:5])
-        except ValueError:  # refused
-            continue
-        summed.append(i)
-    if summed:
-        prefactor, scale, h, beta, z = np.array(plans).T
-        out[summed] = prefactor * (scale * _hyp_real(h, beta, 1.0 - m, z))
-    return out
+            outcomes.append(_series_plan(m, nu, x))
+        except ValueError as exc:  # refused
+            outcomes.append(exc)
+    summed = [i for i, plan in enumerate(outcomes) if isinstance(plan, tuple)]
+    if len(summed) == 1:
+        _, _, h, beta, z, _ = outcomes[summed[0]]
+        try:
+            sums, capped = [_hyp_real(h, beta, c, z)], {}
+        except ConvergenceError as exc:
+            sums, capped = [math.nan], {0: exc.residual}
+    elif summed:
+        h, beta, z = np.array([outcomes[i][2:5] for i in summed]).T
+        sums, capped = _hyp_real_array(h, beta, c, z)
+    for r, i in enumerate(summed):
+        prefactor, scale, _, _, _, (name, degree, arg_name, arg) = outcomes[i]
+        outcomes[i] = prefactor * (scale * float(sums[r]))
+        if r in capped:
+            outcomes[i] = ConvergenceError(
+                f"{name}-form hypergeometric series did not converge within "
+                f"{_MAX_TERMS} terms (nu={degree}, c={c}, {arg_name}={arg})",
+                residual=capped[r],
+            )
+    return outcomes
 
 
 def legendre_q(mu: float, nu: float, x: float) -> float:

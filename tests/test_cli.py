@@ -38,6 +38,13 @@ class TestEigen:
         assert code == 2
         assert "n >= 2" in err
 
+    @pytest.mark.parametrize("k", ["nan", "-inf", "inf"])
+    def test_nonfinite_curvature_is_usage_error(self, capsys, k):
+        code, out, err = run_cli(capsys, "eigen", "--n", "2", f"--k={k}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: curvature k must be finite and nonzero, got k={k}\n"
+
     def test_option_prefix_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # --j is no abbreviation of --json-out
         monkeypatch.chdir(tmp_path)
@@ -89,6 +96,15 @@ class TestScan:
         assert err.count("\n") == 1
         assert err.startswith("3/8 rows disagree; first at T=0.004: closed form overflows at "
                               "T=0.004, j=1")
+
+    def test_refused_rows_print_the_first_rows_own_error(self, capsys):
+        code, _, err = run_cli(capsys, "scan", "--n", "3", "--k", "9.5")
+        assert code == 1
+        assert err == (
+            "200/200 rows disagree; first at T=0.5: degree-form hypergeometric series "
+            "did not converge within 10000 terms (nu=(-0.5+3.947605083649689j), c=1.5, "
+            "w=0.9991185951609711)\n"
+        )
 
     def test_single_point_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -151,6 +167,15 @@ class TestBifurcate:
         assert message in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_infinite_window_is_usage_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "bifurcate", "--n", "2", "--k", "1", "--thi", "inf")
+        assert code == 2
+        assert out == ""
+        assert [str(w.message) for w in caught] == []
+        assert err == "error: need 0 < t_lo < t_hi < inf, got t_lo=0.5, t_hi=inf\n"
+
     @pytest.mark.parametrize("jmax", ["0", "-3"])
     def test_nonpositive_jmax_is_usage_error(self, capsys, jmax):
         code, out, err = run_cli(capsys, "bifurcate", "--n", "2", "--k", "1", "--jmax", jmax)
@@ -187,6 +212,13 @@ class TestProfile:
         )
         assert code == 2
         assert "epsilon" in err
+
+    @pytest.mark.parametrize("tstar", ["inf", "nan"])
+    def test_nonfinite_period_is_usage_error(self, capsys, tstar):
+        code, out, err = run_cli(capsys, "profile", "--n", "2", "--k", "1", "--tstar", tstar)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: period must be positive and finite, got {tstar}\n"
 
     def test_inadmissible_case_with_explicit_period_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "profile", "--tstar", "2", "--n", "1", "--k", "0")
@@ -258,6 +290,26 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, *argv, "eigen", "--n", "2", "--k", "1")
         assert code == 2
         assert "absent.cfg" in err
+
+    @pytest.mark.parametrize(
+        "line,key", [("bogus = 3", "bogus"), ("epsilon = 0.9", "epsilon")],
+        ids=["no-option", "other-subcommand"],
+    )
+    def test_key_without_option_is_usage_error(self, capsys, tmp_path, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 3\nk = 1\n{line}\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "eigen")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --config key {key!r} is not an option of cylbif eigen\n"
+
+    def test_key_of_the_chosen_subcommand_counts(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 2\nk = 1\nepsilon = 0.25\nsamples = 8\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "profile", "--tstar", "3.0")
+        assert code == 0
+        rho = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        assert len(rho) == 8 and rho[4] == pytest.approx(0.75, abs=1e-14)
 
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

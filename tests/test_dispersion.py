@@ -392,14 +392,29 @@ class TestRoutePaths:
 
     def test_float_period_makes_no_batched_call(self, ground_states, monkeypatch):
         import cylbif.dispersion as dispersion
+        import cylbif.specfun as specfun
 
         gs = ground_states[(2, -1.0)]
         sf = SpaceForm(2, -1.0)
         solves = self.count_calls(monkeypatch, dispersion, "_shoot_batch")
-        sums = self.count_calls(monkeypatch, dispersion, "_first_kind_many")
+        sums = self.count_calls(monkeypatch, specfun, "_hyp_real_array")
         assert isinstance(sigma_reduced(gs, sf, 2.0), float)
         assert isinstance(sigma_closed(gs, sf, 2.0), float)
         assert solves == sums == []
+
+    def test_refused_scan_sums_each_series_once(self, monkeypatch):
+        # at (3, 9.5) every member's series reaches the term cap: the batch
+        # reports each member's error, so no member is summed again alone
+        import cylbif.specfun as specfun
+        from cylbif.spectral import ground_state
+
+        sf = SpaceForm(3, 9.5)
+        gs = ground_state(sf)
+        scalar = self.count_calls(monkeypatch, specfun, "_hyp_real")
+        batched = self.count_calls(monkeypatch, specfun, "_hyp_real_array")
+        rows = scan(gs, sf, 0.5, 50.0, 24).rows()
+        assert all("did not converge within 10000 terms" in row["error"] for row in rows)
+        assert (len(scalar), len(batched)) == (0, 1)
 
     @pytest.mark.parametrize("route", [sigma_reduced, sigma_closed])
     @pytest.mark.parametrize("case", [(2, 1.0), (3, -1.0)])

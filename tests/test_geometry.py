@@ -39,6 +39,11 @@ class TestSpaceForm:
         with pytest.raises(ValueError, match="nonzero"):
             SpaceForm(2, 0.0)
 
+    @pytest.mark.parametrize("k", [math.nan, -math.inf, math.inf])
+    def test_rejects_nonfinite(self, k):
+        with pytest.raises(ValueError, match="k must be finite"):
+            SpaceForm(2, k)
+
     def test_rejects_ball_not_fitting(self):
         with pytest.raises(ValueError, match="pi/sqrt"):
             SpaceForm(2, 12.0)

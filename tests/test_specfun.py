@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylbif.errors import GammaPoleError
+from cylbif.errors import ConvergenceError, GammaPoleError
 from cylbif.geometry import SpaceForm
 from cylbif.specfun import (
     FORM_BESSEL_I_LARGE_ARGUMENT,
@@ -545,16 +545,35 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("x", [-0.98, 0.3, 1.6, 2.7, 3.5])
     def test_first_kind_batch_matches_scalar_functions(self, x):
+        # each member's outcome is the scalar function's: its value bit for
+        # bit, or its error (a conical degree beyond the series disk at
+        # x = 3.5) in type and message
         from cylbif.specfun import _first_kind_many
 
         fam = legendre_p if x > 1.0 else ferrers_p
         nus = [complex(-0.5, 3.0), complex(0.4, 0.0), complex(-0.5, 0.2), complex(6.1, 0.0)]
         for m in (0.0, 1.0, -0.5, 0.5, 2.0):
-            got = _first_kind_many(m, nus, x).tolist()
-            for value, nu in zip(got, nus):
+            for outcome, nu in zip(_first_kind_many(m, nus, x), nus):
                 try:
                     expected = fam(m, nu, x)
-                except ValueError:  # a conical degree beyond the series disk
-                    assert x >= 3.0 and nu.imag != 0.0 and math.isnan(value)
+                except ValueError as exc:
+                    assert x >= 3.0 and nu.imag != 0.0
+                    assert (type(outcome), str(outcome)) == (type(exc), str(exc))
                 else:
-                    assert value == expected
+                    assert outcome == expected
+
+    def test_capped_members_carry_the_scalar_error(self):
+        # near x = -1 (the Ferrers argument of (3, 9.5)) every series reaches
+        # the term cap: each member's error from the array loop equals the
+        # scalar function's, residual included
+        from cylbif.specfun import _first_kind_many
+
+        x = math.cos(math.sqrt(9.5))
+        nus = [complex(-0.5, 3.9), complex(0.4, 0.0), complex(-0.5, 0.2)]
+        for m in (-0.5, 0.5):
+            for nu, outcome in zip(nus, _first_kind_many(m, nus, x)):
+                with pytest.raises(ConvergenceError) as scalar:
+                    ferrers_p(m, nu, x)
+                assert isinstance(outcome, ConvergenceError)
+                assert str(outcome) == str(scalar.value)
+                assert outcome.residual == scalar.value.residual > 0.0
