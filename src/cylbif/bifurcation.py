@@ -64,6 +64,11 @@ def _refine_zero(producer, a, b, fa, fb) -> SigmaZero:
     return SigmaZero(t0=0.5 * (a + b), sign_change=True, width=b - a)
 
 
+def _check_window(t_lo: float, t_hi: float) -> None:
+    if not 0.0 < t_lo < t_hi < math.inf:
+        raise ValueError(f"need 0 < t_lo < t_hi < inf, got t_lo={t_lo}, t_hi={t_hi}")
+
+
 def find_sigma_zeros(
     producer: Callable[[float | np.ndarray], float | np.ndarray],
     t_lo: float,
@@ -83,8 +88,7 @@ def find_sigma_zeros(
     spectral.bracketed_root (safeguarded Illinois regula falsi) to width at
     most ZERO_WIDTH_REL * T0, so width is a certified bracket.
     """
-    if not 0.0 < t_lo < t_hi < math.inf:
-        raise ValueError(f"need 0 < t_lo < t_hi < inf, got t_lo={t_lo}, t_hi={t_hi}")
+    _check_window(t_lo, t_hi)
     grid = np.geomspace(t_lo, t_hi, initial_points)
     vals = np.full(grid.shape, producer(grid), dtype=float)
     t, v = grid.tolist(), vals.tolist()
@@ -206,6 +210,13 @@ class BifurcationReport:
         }
 
 
+def check_bifurcation_args(t_lo: float, t_hi: float, j_max: int) -> None:
+    """Raise ValueError unless j_max >= 1 and 0 < t_lo < t_hi < inf."""
+    if j_max < 1:
+        raise ValueError(f"largest kernel mode must satisfy j_max >= 1, got j_max={j_max}")
+    _check_window(t_lo, t_hi)
+
+
 def run_bifurcation(
     gs: GroundState,
     sf: SpaceForm,
@@ -220,8 +231,7 @@ def run_bifurcation(
     decrease of sigma; one batched solve spot-checks sigma(T_star / j) > 0
     at j = 2 and j = j_max, and raises if either is not positive.
     """
-    if j_max < 1:
-        raise ValueError(f"largest kernel mode must satisfy j_max >= 1, got j_max={j_max}")
+    check_bifurcation_args(t_lo, t_hi, j_max)
 
     def producer(t_period: float | np.ndarray) -> float | np.ndarray:
         return sigma_reduced(gs, sf, t_period, 1)

@@ -14,8 +14,13 @@ import os
 import sys
 from pathlib import Path
 
-from .bifurcation import check_profile_args, domain_profile, run_bifurcation
-from .dispersion import scan
+from .bifurcation import (
+    check_bifurcation_args,
+    check_profile_args,
+    domain_profile,
+    run_bifurcation,
+)
+from .dispersion import check_scan_args, scan
 from .errors import NumericalError
 from .geometry import SpaceForm
 from .spectral import ground_state
@@ -79,6 +84,7 @@ def cmd_eigen(args) -> int:
 
 def cmd_scan(args) -> int:
     sf = _require_case(args)
+    check_scan_args(args.tlo, args.thi, args.points, args.j)
     gs = ground_state(sf)
     curve = scan(gs, sf, args.tlo, args.thi, args.points, j=args.j)
     _emit(curve.csv_text(), args.csv_out)
@@ -95,6 +101,7 @@ def cmd_scan(args) -> int:
 def cmd_bifurcate(args) -> int:
     sf = _require_case(args)
     check_profile_args(args.epsilon, args.profile_samples)  # with or without --profile-out
+    check_bifurcation_args(args.tlo, args.thi, args.jmax)
     gs = ground_state(sf)
     report = run_bifurcation(gs, sf, t_lo=args.tlo, t_hi=args.thi, j_max=args.jmax)
     _emit(_json_dumps(report.to_dict()), args.report_out)

@@ -290,6 +290,18 @@ class DispersionCurve:
             fh.write(self.csv_text())
 
 
+def check_scan_args(t_lo: float, t_hi: float, points: int, j: int) -> None:
+    """Raise ValueError unless 0 < t_lo < t_hi <= T_HI_CAP, points >= 2 and j >= 1."""
+    if not 0.0 < t_lo < t_hi:
+        raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
+    if t_hi > T_HI_CAP:
+        raise ValueError(f"t_hi={t_hi} exceeds the cap {T_HI_CAP}")
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
+    if j < 1:
+        raise ValueError(f"mode index must satisfy j >= 1, got j={j}")
+
+
 def scan(
     gs: GroundState,
     sf: SpaceForm,
@@ -305,12 +317,7 @@ def scan(
     whole grid through their outcome paths, and a member's error stays with
     its sample.  Samples come in increasing T order.
     """
-    if not 0.0 < t_lo < t_hi:
-        raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
-    if t_hi > T_HI_CAP:
-        raise ValueError(f"t_hi={t_hi} exceeds the cap {T_HI_CAP}")
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
+    check_scan_args(t_lo, t_hi, points, j)
     grid = np.geomspace(t_lo, t_hi, points)
     grid[0], grid[-1] = t_lo, t_hi  # exact endpoints
     periods = grid.tolist()

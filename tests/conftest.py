@@ -1,8 +1,9 @@
 import pytest
 
 from cylbif import SpaceForm, ground_state, run_bifurcation
+from cylbif.verify import DEFAULT_CASES
 
-CASES = ((2, 1.0), (2, -1.0), (3, 1.0), (3, -1.0))
+CASES = DEFAULT_CASES
 
 # filled by tests/test_acceptance.py, printed at the end of the run
 ACCEPTANCE_LINES: list[str] = []

@@ -184,6 +184,33 @@ class TestBifurcate:
         assert "j_max" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("scan", "--thi", "300"), "exceeds the cap"),
+        (("scan", "--points", "1"), "points must be >= 2"),
+        (("scan", "--j", "0"), "j >= 1"),
+        (("bifurcate", "--thi", "inf"), "t_hi < inf"),
+        (("bifurcate", "--jmax", "0"), "j_max >= 1"),
+    ],
+    ids=["scan-thi", "scan-points", "scan-j", "bifurcate-thi", "bifurcate-jmax"],
+)
+def test_window_is_checked_before_the_ground_state(capsys, monkeypatch, argv, message):
+    import cylbif.cli as cli
+
+    calls = []
+    real = cli.ground_state
+
+    def spy(sf):
+        calls.append(sf)
+        return real(sf)
+
+    monkeypatch.setattr(cli, "ground_state", spy)
+    code, out, err = run_cli(capsys, argv[0], "--n", "2", "--k", "1", *argv[1:])
+    assert (code, out, calls) == (2, "", [])
+    assert message in err
+
+
 class TestProfile:
     def test_with_explicit_period(self, capsys):
         code, out, _ = run_cli(

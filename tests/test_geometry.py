@@ -138,12 +138,3 @@ def test_derivative_identities_by_central_difference(k):
         dc = (c_k(sf, r + h) - c_k(sf, r - h)) / (2 * h)
         assert ds == pytest.approx(c_k(sf, r), rel=1e-8)
         assert dc == pytest.approx(-k * s_k(sf, r), rel=1e-8)
-
-
-def test_unit_curvature_reduces_to_trig():
-    sphere, hyper = SpaceForm(2, 1.0), SpaceForm(2, -1.0)
-    for r in (0.1, 0.9, 1.7):
-        assert s_k(sphere, r) == math.sin(r)
-        assert c_k(sphere, r) == math.cos(r)
-        assert s_k(hyper, r) == math.sinh(r)
-        assert c_k(hyper, r) == math.cosh(r)

@@ -112,23 +112,6 @@ class TestFDSigma:
 
 
 class TestFDDtN:
-    def test_coupled_matrix_structure(self, ground_states):
-        gs = ground_states[(2, 1.0)]
-        sf = SpaceForm(2, 1.0)
-        matrix = fd_dtn_matrix(gs, sf, 2.5, 32, 32, method="coupled")
-        scale = np.linalg.norm(matrix)
-        assert np.linalg.norm(matrix - matrix.T) / scale < 5e-3
-        assert np.linalg.norm(matrix - np.diag(np.diag(matrix))) / scale < 5e-3
-
-    def test_coupled_agrees_with_per_mode(self, ground_states):
-        # the separation-of-variables shortcut must match the genuinely
-        # coupled 2D solve
-        gs = ground_states[(2, 1.0)]
-        sf = SpaceForm(2, 1.0)
-        coupled = fd_dtn_matrix(gs, sf, 2.5, 32, 32, method="coupled")
-        fast = fd_dtn_matrix(gs, sf, 2.5, 32, 32, method="per_mode")
-        assert np.max(np.abs(coupled - fast)) <= 1e-8 * np.max(np.abs(fast))
-
     def test_diag_matches_sigma_within_bars(self, ground_states):
         gs = ground_states[(2, -1.0)]
         sf = SpaceForm(2, -1.0)

@@ -9,7 +9,6 @@ from cylbif.radial import (
     first_zero,
     frobenius_start,
     liouville_green,
-    rk4_shoot,
     shoot,
     solve_regular,
 )
@@ -64,20 +63,6 @@ class TestSolveRegular:
             assert sol.u1 == pytest.approx(1.0, abs=1e-12)
             assert sol.du1 == pytest.approx(0.0, abs=1e-12)
 
-    def test_dual_integrator_agreement(self):
-        sf = SpaceForm(2, -1.0)
-        u1, du1 = shoot(sf, 5.0)
-        r1, rdu1 = rk4_shoot(sf, 5.0)
-        assert u1 == pytest.approx(r1, rel=1e-8)
-        assert du1 == pytest.approx(rdu1, rel=1e-8)
-
-    def test_half_step_reintegration_stability(self):
-        sf = SpaceForm(2, -1.0)
-        a1, b1 = rk4_shoot(sf, 5.0, steps=20000)
-        a2, b2 = rk4_shoot(sf, 5.0, steps=40000)
-        assert a1 == pytest.approx(a2, rel=1e-10)
-        assert b1 == pytest.approx(b2, rel=1e-10)
-
     def test_profile_starts_at_origin_values(self):
         sol = solve_regular(SpaceForm(2, 1.0), 4.0)
         assert sol.r[0] == 0.0
@@ -93,16 +78,6 @@ class TestSolveRegular:
     def test_determinism_and_linearity_of_shoot(self):
         sf = SpaceForm(2, 1.0)
         assert shoot(sf, 3.3) == shoot(sf, 3.3)
-
-    def test_sturm_comparison(self):
-        # larger spectral parameter -> earlier first zero
-        sf = SpaceForm(2, -1.0)
-        pairs = [(6.5, 13.0), (8.0, 16.0), (20.0, 40.0)]
-        for lam_small, lam_large in pairs:
-            z_small = first_zero(sf, lam_small, 4.0)
-            z_large = first_zero(sf, lam_large, 4.0)
-            assert z_small is not None and z_large is not None
-            assert z_large < z_small
 
     def test_first_zero_none_when_no_oscillation(self):
         assert first_zero(SpaceForm(2, -1.0), 0.0, 5.0) is None
@@ -142,17 +117,6 @@ class TestSeparatedRepresentation:
         for r in (0.2, 0.5, 0.8, 1.0):
             exact = math.sin(kappa * r) / (kappa * s_k(sf, r))
             assert rad.value(r) == pytest.approx(exact, rel=1e-10)
-
-
-def test_representation_gives_the_ground_state_dphi1():
-    # both sigma routes take phi'(1) from the ground state; verify's radial
-    # group checks it against the closed-form representation matched at r = 0.5
-    from cylbif.verify import run_checks
-
-    cases = ((4, -1.0), (6, -1.5), (12, -0.5), (2, -2.9), (3, 8.85))
-    results = run_checks(groups=("radial",), cases=cases)
-    assert "representation-dphi1" in [r.name for r in results]
-    assert [r.name for r in results if not r.passed] == []
 
 
 class TestLiouvilleGreen:

@@ -8,17 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cylbif.errors import ConvergenceError, GammaPoleError
 from cylbif.geometry import SpaceForm
 from cylbif.specfun import (
-    FORM_BESSEL_I_LARGE_ARGUMENT,
-    FORM_FERRERS_P_EDGE_INTEGER,
-    FORM_FERRERS_P_EDGE_SINGULAR,
-    FORM_FERRERS_P_LARGE_CONICAL,
-    FORM_LEGENDRE_P_EDGE_INTEGER,
-    FORM_LEGENDRE_P_EDGE_SINGULAR,
-    FORM_LEGENDRE_P_LARGE_DEGREE_NEG,
-    FORM_LEGENDRE_P_LARGE_DEGREE_POS,
-    FORM_LEGENDRE_Q_EDGE_SINGULAR,
     Degree,
-    asymptotic_form,
     bessel_i,
     ferrers_p,
     ferrers_p_deriv,
@@ -29,28 +19,7 @@ from cylbif.specfun import (
     olver_hyp,
     recip_gamma,
 )
-
-# 5-point stencils: truncation O(h^4), roundoff ~ eps/h^2 ~ 4e-10
-
-
-def five_point_first(f, x, h=5e-4):
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-
-
-def five_point_second(f, x, h=5e-4):
-    return (
-        -f(x + 2 * h) + 16 * f(x + h) - 30 * f(x) + 16 * f(x - h) - f(x - 2 * h)
-    ) / (12 * h * h)
-
-
-def legendre_ode_residual(fam, m, nu, x, h=5e-4):
-    """Relative residual of (1-x^2) w'' - 2x w' + [nu(nu+1) - m^2/(1-x^2)] w."""
-    f = lambda t: fam(m, nu, t)
-    d1 = five_point_first(f, x, h)
-    d2 = five_point_second(f, x, h)
-    degree_term = ((nu + 0.5) ** 2 - 0.25).real
-    resid = (1 - x * x) * d2 - 2 * x * d1 + (degree_term - m * m / (1 - x * x)) * f(x)
-    return abs(resid) / (abs(degree_term * f(x)) + abs(d1) + 1.0)
+from cylbif.verify import _legendre_ode_residual as legendre_ode_residual
 
 
 class TestLogGamma:
@@ -60,17 +29,6 @@ class TestLogGamma:
     def test_gamma_half(self):
         assert log_gamma(0.5).real == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
         assert log_gamma(0.5).imag == pytest.approx(0.0, abs=1e-14)
-
-    def test_reflection_formula_at_conical_point(self):
-        z = complex(-0.5, 3.0)
-        rhs = math.pi / cmath.sin(math.pi * z)
-        lhs = cmath.exp(log_gamma(z) + log_gamma(1.0 - z))
-        assert abs(lhs - rhs) / abs(rhs) < 1e-10
-
-    def test_recurrence_across_reflection_boundary(self):
-        # z on the reflection side, z+1 on the direct side: a non-circular check
-        z = complex(-0.5, 3.0)
-        assert abs(cmath.exp(log_gamma(z + 1.0) - log_gamma(z)) - z) / abs(z) < 1e-12
 
     def test_pole_signaled(self):
         with pytest.raises(GammaPoleError):
@@ -217,23 +175,6 @@ class TestAgainstMpmath:
 
 
 class TestLegendreQ:
-    def test_connection_formula_residual(self):
-        mu, nu, x = 0.5, 1.3, 5.0
-        lhs = 2.0 * math.sin(mu * math.pi) / math.pi * legendre_q(mu, nu, x)
-        rhs = legendre_p(mu, nu, x) / math.gamma(nu + mu + 1.0) - legendre_p(
-            -mu, nu, x
-        ) / math.gamma(nu - mu + 1.0)
-        assert abs(lhs - rhs) / abs(rhs) < 1e-10
-
-    def test_elementary_closed_form(self):
-        # Q^(1/2)_0(x): the series collapses to 2(1 - sqrt(1-y))/y with y = 2/(1-x)
-        x = 5.0
-        y = 2.0 / (1.0 - x)
-        elementary = (
-            (x - 1.0) ** -0.75 * (x + 1.0) ** -0.25 * 2.0 * (1.0 - math.sqrt(1.0 - y)) / y
-        )
-        assert legendre_q(0.5, 0.0, x) == pytest.approx(elementary, rel=1e-13)
-
     def test_series_region_enforced(self):
         with pytest.raises(ValueError, match="x > 3"):
             legendre_q(0.5, 1.3, 2.0)
@@ -278,39 +219,11 @@ class TestDerivatives:
         # d/dx (3x^2 - 1)/2 = 3x
         assert ferrers_p_deriv(0.0, 2.0, 0.3) == pytest.approx(0.9, rel=1e-13)
 
-    def test_conical_against_central_difference(self):
-        nu = complex(-0.5, 2.0)
-        x = math.cosh(1.0)
-        cd = (legendre_p(-0.5, nu, x + 1e-6) - legendre_p(-0.5, nu, x - 1e-6)) / 2e-6
-        assert legendre_p_deriv(-0.5, nu, x) == pytest.approx(cd, rel=1e-6)
-
-    def test_ferrers_conical_against_central_difference(self):
-        nu = complex(-0.5, 2.0)
-        x = math.cos(1.0)
-        cd = (ferrers_p(-0.5, nu, x + 1e-6) - ferrers_p(-0.5, nu, x - 1e-6)) / 2e-6
-        assert ferrers_p_deriv(-0.5, nu, x) == pytest.approx(cd, rel=1e-6)
-
 
 class TestBesselI:
     def test_values_at_zero(self):
         assert bessel_i(0.0, 0.0) == 1.0
         assert bessel_i(1.0, 0.0) == 0.0
-
-    def test_half_integer_closed_form(self):
-        x = 2.0
-        assert bessel_i(0.5, x) == pytest.approx(
-            math.sqrt(2.0 / (math.pi * x)) * math.sinh(x), rel=1e-14
-        )
-
-    def test_equation_residual_via_recurrence(self):
-        # x^2 I'' + x I' - (x^2 + mu^2) I reduces to the three-term recurrence
-        for mu, x in ((0.0, 1.3), (1.0, 2.5), (0.5, 4.0), (2.0, 10.0)):
-            resid = (
-                x * x * bessel_i(mu + 2.0, x)
-                + 2.0 * (mu + 1.0) * x * bessel_i(mu + 1.0, x)
-                - x * x * bessel_i(mu, x)
-            )
-            assert abs(resid) / (x * x * bessel_i(mu, x)) < 1e-10
 
     def test_overflow_signaled(self):
         from cylbif.errors import ConvergenceError
@@ -352,13 +265,6 @@ class TestIdentities:
         for x in (-0.4, 0.2, 0.54):
             assert legendre_ode_residual(ferrers_p, m, nu, x) < 1e-7
 
-    def test_conical_realness_through_complex_path(self):
-        for tau in (0.5, 2.0, 8.0):
-            nu = complex(-0.5, tau)
-            for c, w in ((1.0, -0.27), (1.5, 0.23)):
-                val = olver_hyp(nu + 1.0, -nu, c, w)
-                assert abs(val.imag) < 1e-12 * abs(val)
-
     @pytest.mark.parametrize("x", [4.0, 5.0, 8.0])
     @pytest.mark.parametrize("mu,nu", [(0.5, 1.3), (0.5, 0.7), (1.5, 0.9)])
     def test_connection_formula_beyond_three(self, x, mu, nu):
@@ -386,106 +292,6 @@ class TestIdentities:
             lhs = ferrers_p(mu, nu, x)
             rhs = (-1.0) ** mu * ratio * ferrers_p(-mu, nu, x)
             assert lhs == pytest.approx(rhs.real, rel=1e-10)
-
-    def test_order_shift_product_identity(self):
-        for mu in (0.0, 0.5, 1.0):
-            for tau in (1.0, 4.0, 16.0):
-                nu_star = complex(-0.5, tau)
-                prod = (nu_star + mu + 1.0) * (nu_star - mu)
-                assert prod.imag == pytest.approx(0.0, abs=1e-12 * abs(prod))
-                assert prod.real == pytest.approx(
-                    -0.25 - tau * tau - mu - mu * mu, rel=1e-15
-                )
-
-
-class TestAsymptoticForms:
-    EPS = 1e-8
-
-    def test_legendre_singular_edge(self):
-        x = 1.0 + self.EPS
-        ratio = legendre_p(0.5, 1.3, x) / asymptotic_form(
-            FORM_LEGENDRE_P_EDGE_SINGULAR, 0.5, 1.3, x
-        )
-        assert abs(ratio - 1.0) < 1e-3
-
-    def test_legendre_integer_edge(self):
-        x = 1.0 + self.EPS
-        ratio = legendre_p(1.0, 2.0, x) / asymptotic_form(
-            FORM_LEGENDRE_P_EDGE_INTEGER, 1.0, 2.0, x
-        )
-        assert abs(ratio - 1.0) < 1e-3
-
-    def test_legendre_q_singular_edge_via_connection(self):
-        # Q near the edge is reconstructed from the connection formula, since
-        # its own series needs x > 3
-        mu, nu = 0.5, 1.3
-        x = 1.0 + self.EPS
-        q_near = (
-            math.pi
-            / (2.0 * math.sin(mu * math.pi))
-            * (
-                legendre_p(mu, nu, x) / math.gamma(nu + mu + 1.0)
-                - legendre_p(-mu, nu, x) / math.gamma(nu - mu + 1.0)
-            )
-        )
-        ratio = q_near / asymptotic_form(FORM_LEGENDRE_Q_EDGE_SINGULAR, mu, nu, x)
-        assert abs(ratio - 1.0) < 1e-3
-
-    def test_ferrers_singular_edge(self):
-        x = 1.0 - self.EPS
-        ratio = ferrers_p(0.5, 1.3, x) / asymptotic_form(
-            FORM_FERRERS_P_EDGE_SINGULAR, 0.5, 1.3, x
-        )
-        assert abs(ratio - 1.0) < 1e-3
-
-    def test_ferrers_integer_edge(self):
-        x = 1.0 - self.EPS
-        ratio = ferrers_p(1.0, 2.3, x) / asymptotic_form(
-            FORM_FERRERS_P_EDGE_INTEGER, 1.0, 2.3, x
-        )
-        assert abs(ratio - 1.0) < 1e-3
-
-    def test_large_degree_forms_at_fifty(self):
-        nu = 50.0
-        x = math.cosh(1.0)
-        for mu in (0.0, 0.5):
-            ratio = legendre_p(-mu, nu, x) / asymptotic_form(
-                FORM_LEGENDRE_P_LARGE_DEGREE_NEG, mu, nu, x
-            )
-            assert abs(ratio - 1.0) < 1e-2
-        for mu in (0.0, 1.0):
-            ratio = legendre_p(mu, nu, x) / asymptotic_form(
-                FORM_LEGENDRE_P_LARGE_DEGREE_POS, mu, nu, x
-            )
-            assert abs(ratio - 1.0) < 1e-2
-
-    def test_bessel_large_argument_at_fifty(self):
-        for mu in (0.0, 1.0):
-            ratio = bessel_i(mu, 50.5) / asymptotic_form(
-                FORM_BESSEL_I_LARGE_ARGUMENT, mu, 50.0, math.nan
-            )
-            assert abs(ratio - 1.0) < 1e-2
-
-    def test_conical_ferrers_at_fifty(self):
-        nu = complex(-0.5, 50.0)
-        x = math.cos(1.0)
-        for mu in (0.0, 0.5):
-            ratio = ferrers_p(-mu, nu, x) / asymptotic_form(
-                FORM_FERRERS_P_LARGE_CONICAL, mu, nu, x
-            )
-            assert abs(ratio - 1.0) < 1e-2
-
-    def test_excluded_combinations_rejected(self):
-        with pytest.raises(ValueError, match="excluded"):
-            asymptotic_form(FORM_FERRERS_P_EDGE_SINGULAR, -0.5, 1.3, 0.9999)
-        with pytest.raises(ValueError, match="excluded"):
-            asymptotic_form(FORM_LEGENDRE_P_EDGE_SINGULAR, 2.0, 1.3, 1.0001)
-        with pytest.raises(ValueError, match="excluded"):
-            asymptotic_form(FORM_LEGENDRE_P_EDGE_INTEGER, 1.0, -2.0, 1.0001)
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            asymptotic_form("no-such-form", 0.0, 1.0, 1.5)
 
 
 class TestArrayKernel:
